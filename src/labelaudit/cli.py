@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .data import (
@@ -17,21 +18,22 @@ from .data import (
     save_dataset,
     save_distributions,
 )
-from .mlp import ModelSpec, TrainConfig, init_model, load_model, mcd_predict, save_model, train
+from .mlp import init_model, load_model, mcd_predict, save_model, train
 from .noisebench import NoiseSpec, inject_noise, make_blobs, save_noise_mask
 from .pipeline import (
     PipelineError,
-    _decide_all,
-    _evaluate,
-    _load_mapping,
-    _sentinel_distributions,
-    _Stream,
     config_from_dict,
+    decide_all,
+    evaluate,
+    overlay_flags,
     run_pipeline,
+    sentinel_distributions,
     sweep_thresholds,
 )
 from .policy import (
+    THRESHOLDS,
     apply_decisions,
+    grid_fields,
     load_decisions,
     save_decisions,
     thresholds_to_section,
@@ -47,8 +49,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path or directory")
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hidden-dims", help="comma-separated hidden layer widths")
+    parser.add_argument("--hidden-dims", type=_int_list, help="comma-separated hidden layer widths")
     parser.add_argument("--dropout", type=float, help="dropout rate (training and stochastic passes)")
     parser.add_argument("--learning-rate", type=float)
     parser.add_argument("--epochs", type=int)
@@ -56,8 +62,8 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--policy", choices=("filter", "overwrite", "quantile"))
-    for name in ("t1", "s1", "t2", "s2", "q1", "q2"):
+    parser.add_argument("--policy", choices=tuple(THRESHOLDS))
+    for name in dict.fromkeys(name for kind in THRESHOLDS for name in grid_fields(kind)):
         parser.add_argument(f"--{name}", type=float)
     parser.add_argument("--mapping", help="label-space mapping JSON for the filter policy")
 
@@ -94,14 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--passes", type=int, default=10)
+    p.add_argument("--passes", type=int)
 
     p = sub.add_parser("build-sentinel", help="out-of-fold distributions via cross-validation")
     _add_common(p)
     _add_model_flags(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--passes", type=int, default=10)
+    p.add_argument("--folds", type=int)
+    p.add_argument("--passes", type=int)
     p.add_argument("--folds-out", help="where to write the fold assignment")
 
     p = sub.add_parser("decide", help="run a decision policy over distributions")
@@ -109,10 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_flags(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--dump", required=True, help="distribution file to decide from")
-    p.add_argument("--passes", type=int, default=10)
-    p.add_argument("--ordering", help="JSON ordinal class ordering (quantile policy)")
-    p.add_argument("--good-set", help="JSON list of good classes (quantile policy)")
-    p.add_argument("--bad-set", help="JSON list of bad classes (quantile policy)")
+    p.add_argument("--passes", type=int)
+    p.add_argument("--ordering", type=json.loads, help="JSON ordinal class ordering (quantile policy)")
+    p.add_argument("--good-set", type=json.loads, help="JSON list of good classes (quantile policy)")
+    p.add_argument("--bad-set", type=json.loads, help="JSON list of bad classes (quantile policy)")
 
     p = sub.add_parser("apply", help="apply persisted decisions to a dataset")
     _add_common(p)
@@ -124,12 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_model_flags(p)
     _add_policy_flags(p)
-    p.add_argument("--dataset", help="dev dataset (overrides config dev_dataset)")
+    p.add_argument("--dataset", dest="dev_dataset", help="dev dataset (overrides config dev_dataset)")
     p.add_argument("--folds", type=int)
     p.add_argument("--passes", type=int)
     p.add_argument("--sentinel", choices=("cv", "external"))
-    p.add_argument("--dump", help="external dev distribution dump")
-    p.add_argument("--grid", help='JSON grid, e.g. "{\\"t1\\": [0.2, 0.3]}"')
+    p.add_argument("--dump", dest="dev_dump", help="external dev distribution dump")
+    p.add_argument(
+        "--grid", dest="sweep", type=json.loads, metavar="JSON", help='grid, e.g. "{\\"t1\\": [0.2, 0.3]}"'
+    )
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a labeled dataset")
     _add_common(p)
@@ -157,61 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_doc(args) -> dict:
-    if getattr(args, "config", None):
+def _config_doc(args) -> dict:
+    """The --config document with every given flag laid over it."""
+    doc = {}
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            return json.load(fh)
-    return {}
-
-
-def _overlay_pipeline_flags(doc: dict, args) -> dict:
-    """Flags beat config fields; unset flags leave the config alone."""
-    doc = dict(doc)
-    direct = {
-        "seed": "seed",
-        "out": "out",
-        "dataset": "dataset",
-        "sentinel": "sentinel",
-        "folds": "folds",
-        "dump": "dump",
-        "mapping": "mapping",
-        "passes": "passes",
-        "dropout": "dropout",
-        "learning_rate": "learning_rate",
-        "epochs": "epochs",
-        "batch_size": "batch_size",
-        "policy": "policy",
-        "format": "format",
-    }
-    for attr, key in direct.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            doc[key] = value
-    if getattr(args, "hidden_dims", None):
-        doc["hidden_dims"] = [int(v) for v in args.hidden_dims.split(",")]
-    threshold_flags = {
-        name: getattr(args, name) for name in ("t1", "s1", "t2", "s2", "q1", "q2")
-        if getattr(args, name, None) is not None
-    }
-    if threshold_flags:
-        policy = doc.get("policy", "overwrite")
-        section = dict((doc.get("thresholds") or {}).get(policy, {}))
-        section.update(threshold_flags)
-        doc["thresholds"] = {policy: section}
-    noise_flags = {}
-    if getattr(args, "noise_rate", None) is not None:
-        noise_flags["rate"] = args.noise_rate
-    if getattr(args, "noise_kind", None) is not None:
-        noise_flags["kind"] = args.noise_kind
-    if noise_flags:
-        bench = dict(doc.get("benchmark") or {})
-        noise = dict(bench.get("noise") or {})
-        noise.update(noise_flags)
-        bench["noise"] = noise
-        doc["benchmark"] = bench
-    if getattr(args, "grid", None):
-        doc["sweep"] = json.loads(args.grid)
-    return doc
+            doc = json.load(fh)
+    return overlay_flags(doc, vars(args))
 
 
 def _require(args, flag: str):
@@ -250,31 +210,13 @@ def _cmd_inject_noise(args) -> int:
     return 0
 
 
-def _model_spec_from_args(args, dataset) -> ModelSpec:
-    hidden = tuple(int(v) for v in (args.hidden_dims or "64,64").split(","))
-    return ModelSpec(
-        input_dim=dataset.feature_dim,
-        hidden_dims=hidden,
-        class_count=dataset.class_count,
-        dropout_rate=args.dropout if args.dropout is not None else 0.1,
-    )
-
-
-def _train_config_from_args(args, seed: int) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.learning_rate if args.learning_rate is not None else 0.3,
-        epochs=args.epochs if args.epochs is not None else 150,
-        batch_size=args.batch_size if args.batch_size is not None else 64,
-        seed=seed,
-    )
-
-
 def _cmd_train(args) -> int:
     out = _require(args, "out")
-    dataset = load_dataset(args.dataset, expected_schema="features")
-    spec = _model_spec_from_args(args, dataset)
-    seed = args.seed or 0
-    model = train(init_model(spec, seed), dataset, _train_config_from_args(args, seed))
+    config = config_from_dict(_config_doc(args))
+    dataset = load_dataset(config.dataset, expected_schema="features")
+    # stage commands seed with --seed itself, not the pipeline's seed streams
+    train_cfg = replace(config.train_config(), seed=config.seed)
+    model = train(init_model(config.model_spec(dataset), config.seed), dataset, train_cfg)
     save_model(model, out)
     print(f"trained on {len(dataset)} examples -> {out}")
     return 0
@@ -282,54 +224,46 @@ def _cmd_train(args) -> int:
 
 def _cmd_mcd_infer(args) -> int:
     out = _require(args, "out")
+    config = config_from_dict(_config_doc(args))
     model = load_model(args.model)
-    dataset = load_dataset(args.dataset, expected_schema="features")
-    seed = args.seed or 0
+    dataset = load_dataset(config.dataset, expected_schema="features")
     dists = [
-        mcd_predict(model, ex.features, args.passes, mix64(seed, 1 + j), example_id=ex.id)
+        mcd_predict(model, ex.features, config.passes, mix64(config.seed, 1 + j), example_id=ex.id)
         for j, ex in enumerate(dataset.examples)
     ]
     save_distributions(dists, out)
-    print(f"wrote {len(dists)} distributions ({args.passes} passes each) to {out}")
+    print(f"wrote {len(dists)} distributions ({config.passes} passes each) to {out}")
     return 0
 
 
 def _cmd_build_sentinel(args) -> int:
     out = _require(args, "out")
-    dataset = load_dataset(args.dataset, expected_schema="features")
-    spec = _model_spec_from_args(args, dataset)
-    seed = args.seed or 0
+    config = config_from_dict(_config_doc(args))
+    dataset = load_dataset(config.dataset, expected_schema="features")
     dists, assignment = build_cv_sentinel(
-        dataset.strip_gold(), args.folds, spec, _train_config_from_args(args, seed), args.passes, seed
+        dataset.strip_gold(),
+        config.folds,
+        config.model_spec(dataset),
+        replace(config.train_config(), seed=config.seed),
+        config.passes,
+        config.seed,
     )
     save_distributions(dists, out)
     if args.folds_out:
         with open(args.folds_out, "w", encoding="utf-8") as fh:
             json.dump({"k": assignment.k, "fold_of": assignment.fold_of}, fh, sort_keys=True)
             fh.write("\n")
-    print(f"wrote {len(dists)} out-of-fold distributions ({args.folds} folds) to {out}")
+    print(f"wrote {len(dists)} out-of-fold distributions ({config.folds} folds) to {out}")
     return 0
 
 
 def _cmd_decide(args) -> int:
     out = _require(args, "out")
-    doc = _overlay_pipeline_flags(_load_config_doc(args), args)
-    policy = doc.get("policy", "overwrite")
-    if policy == "quantile":
-        section = dict((doc.get("thresholds") or {}).get(policy, {}))
-        for flag, key in (("ordering", "ordering"), ("good_set", "good_set"), ("bad_set", "bad_set")):
-            value = getattr(args, flag, None)
-            if value is not None:
-                section[key] = json.loads(value)
-        doc["thresholds"] = {policy: section}
-    doc.setdefault("dataset", args.dataset)
-    doc["sentinel"] = "external"
-    doc["dump"] = args.dump
-    config = config_from_dict(doc)
-    dataset = load_dataset(args.dataset)
+    config = config_from_dict({**_config_doc(args), "sentinel": "external"})
+    dataset = load_dataset(config.dataset)
+    dists, _ = sentinel_distributions(config, dataset)
     thresholds = config.resolved_thresholds(dataset.class_count)
-    dists, _ = _sentinel_distributions(config, dataset, _Stream.SENTINEL, args.dump)
-    decisions = _decide_all(policy, dists, dataset.labels_by_id(), thresholds, _load_mapping(config))
+    decisions = decide_all(config.policy, dists, dataset.labels_by_id(), thresholds, config.label_mapping())
     save_decisions(decisions, out)
     flagged = sum(1 for d in decisions if d.verdict != "keep")
     print(f"decided {len(decisions)} examples, flagged {flagged} -> {out}")
@@ -349,21 +283,17 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = _overlay_pipeline_flags(_load_config_doc(args), args)
-    if args.dataset:
-        doc["dev_dataset"] = args.dataset
-    if args.dump:
-        doc["dev_dump"] = args.dump
+    doc = _config_doc(args)
+    if args.dev_dump:
         doc.setdefault("sentinel", "external")
-        doc.setdefault("dump", args.dump)
+        doc.setdefault("dump", args.dev_dump)
     doc.setdefault("dataset", doc.get("dev_dataset"))
     config = config_from_dict(doc)
     if not config.sweep:
         raise ValueError("sweep needs a grid (--grid or config sweep section)")
-    dev_path = doc.get("dev_dataset")
-    if not dev_path:
+    if not config.dev_dataset:
         raise ValueError("sweep needs a dev dataset (--dataset or config dev_dataset)")
-    dev = load_dataset(dev_path)
+    dev = load_dataset(config.dev_dataset)
     best, table = sweep_thresholds(config, dev)
     print(json.dumps({"best": thresholds_to_section(best)}, sort_keys=True))
     if args.out:
@@ -376,7 +306,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     dataset = load_dataset(args.dataset, expected_schema="features")
-    result = _evaluate(model, dataset)
+    result = evaluate(model, dataset)
     print(json.dumps(result, sort_keys=True))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -400,8 +330,7 @@ def _cmd_sdg_mask(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    doc = _overlay_pipeline_flags(_load_config_doc(args), args)
-    config = config_from_dict(doc)
+    config = config_from_dict(_config_doc(args))
     result = run_pipeline(config)
     counts = result.report["counts"]
     print(

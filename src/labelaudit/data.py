@@ -8,6 +8,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -173,18 +174,20 @@ def validate_distribution(dist: PredictiveDistribution) -> None:
     """Raise unless every row is a probability vector (sum 1 within PROB_TOL).
 
     Reports the first offending row index, so malformed external dumps are easy
-    to locate.
+    to locate.  Both checks are phrased so that a NaN fails them.
     """
-    for i, row in enumerate(dist.passes):
-        if np.any(row < 0.0) or np.any(row > 1.0):
-            raise DataFormatError(
-                f"distribution {dist.example_id!r}: row {i} has entries outside [0, 1]"
-            )
-        total = float(row.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise DataFormatError(
-                f"distribution {dist.example_id!r}: row {i} sums to {total}, expected 1 within {PROB_TOL}"
-            )
+    p = dist.passes
+    in_range = ((p >= 0.0) & (p <= 1.0)).all(axis=1)
+    totals = p.sum(axis=1)
+    bad = np.flatnonzero(~(in_range & (np.abs(totals - 1.0) <= PROB_TOL)))
+    if bad.size == 0:
+        return
+    i = bad[0]
+    if not in_range[i]:
+        raise DataFormatError(f"distribution {dist.example_id!r}: row {i} has entries outside [0, 1]")
+    raise DataFormatError(
+        f"distribution {dist.example_id!r}: row {i} sums to {float(totals[i])}, expected 1 within {PROB_TOL}"
+    )
 
 
 def _parse_line(path: str, lineno: int, line: str) -> dict:
@@ -236,7 +239,10 @@ def _example_from_record(path: str, lineno: int, rec: dict, expected_schema: str
         raise DataFormatError(f"{path}: line {lineno}: gold_label must be an integer")
     try:
         if has_features:
-            return LabeledExample(id=exid, label=label, features=tuple(rec["features"]), gold_label=gold)
+            ex = LabeledExample(id=exid, label=label, features=tuple(rec["features"]), gold_label=gold)
+            if not all(map(math.isfinite, ex.features)):
+                raise DataFormatError(f"{path}: line {lineno}: features must be finite numbers")
+            return ex
         tokens = tuple(_token_from_record(path, lineno, t) for t in rec["tokens"])
         return LabeledExample(id=exid, label=label, tokens=tokens, gold_label=gold)
     except (TypeError, ValueError) as err:

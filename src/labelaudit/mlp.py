@@ -218,16 +218,13 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> Model:
 
 
 def predict(model: Model, features) -> np.ndarray:
-    """Deterministic class probabilities: no masks, no rescaling, softmax output."""
-    x = np.asarray(features, dtype=float)
-    if x.shape != (model.spec.input_dim,):
-        raise ValueError(f"features shape {x.shape} does not match input_dim {model.spec.input_dim}")
-    logits = _forward(model.weights, model.biases, x[None, :], None)[2]
-    return _softmax(logits)[0]
+    """Deterministic class probabilities for one feature vector: a 1-row ``predict_batch``."""
+    return predict_batch(model, np.asarray(features, dtype=float)[None])[0]
 
 
 def predict_batch(model: Model, x: np.ndarray) -> np.ndarray:
-    """Deterministic probabilities for an (n, d) feature matrix."""
+    """Deterministic class probabilities (no masks, no rescaling, softmax output)
+    for an (n, d) feature matrix."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.spec.input_dim:
         raise ValueError(f"feature matrix shape {x.shape} does not match input_dim")

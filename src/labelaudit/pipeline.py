@@ -8,11 +8,12 @@ single ``run_stamp`` key.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from .policy import (
     FILTER_ONLY,
     KEEP,
     OVERWRITE_MODE,
+    THRESHOLDS,
     FilterThresholds,
     OverwriteThresholds,
     QuantileThresholds,
@@ -46,6 +48,7 @@ from .policy import (
     decide_filter,
     decide_overwrite,
     decide_quantile,
+    grid_fields,
     rule_histogram,
     save_decisions,
     thresholds_from_section,
@@ -61,7 +64,6 @@ from .sentinel import (
 )
 from .uncertainty import summarize
 
-POLICY_KINDS = ("filter", "overwrite", "quantile")
 SENTINEL_SOURCES = ("cv", "external")
 
 
@@ -149,10 +151,13 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        if self.sweep is not None and not isinstance(self.sweep, dict):
+            raise ValueError("sweep must map threshold fields to lists of values")
+        object.__setattr__(self, "sweep", {k: list(v) for k, v in self.sweep.items()} if self.sweep else None)
         if self.sentinel not in SENTINEL_SOURCES:
             raise ValueError(f"sentinel must be one of {SENTINEL_SOURCES}, got {self.sentinel!r}")
-        if self.policy not in POLICY_KINDS:
-            raise ValueError(f"policy must be one of {POLICY_KINDS}, got {self.policy!r}")
+        if self.policy not in THRESHOLDS:
+            raise ValueError(f"policy must be one of {tuple(THRESHOLDS)}, got {self.policy!r}")
         if self.sentinel == "external" and self.dump is None:
             raise ValueError("external sentinel needs a dump path")
         if self.sentinel == "cv" and self.dump is not None:
@@ -163,22 +168,16 @@ class PipelineConfig:
             raise ValueError("need either a dataset path or a benchmark section")
         if self.benchmark is not None and self.dataset is not None:
             raise ValueError("benchmark mode and a dataset path are mutually exclusive")
-        if self.thresholds is not None:
-            expected = {"filter": FilterThresholds, "overwrite": OverwriteThresholds, "quantile": QuantileThresholds}
-            if not isinstance(self.thresholds, expected[self.policy]):
-                raise ValueError(
-                    f"thresholds section does not match policy {self.policy!r}"
-                )
+        if self.thresholds is not None and not isinstance(self.thresholds, THRESHOLDS[self.policy]):
+            raise ValueError(f"thresholds section does not match policy {self.policy!r}")
         if self.report_format not in ("json", "text"):
             raise ValueError(f"report format must be json or text, got {self.report_format!r}")
 
     def resolved_thresholds(self, class_count: int):
         if self.thresholds is not None:
             return self.thresholds
-        if self.policy == "filter":
-            return FilterThresholds()
-        if self.policy == "overwrite":
-            return OverwriteThresholds()
+        if self.policy != "quantile":
+            return THRESHOLDS[self.policy]()
         if class_count != 2:
             raise ValueError("quantile policy needs explicit thresholds for a non-binary label space")
         return QuantileThresholds(ordering=(0, 1), good_set=frozenset({1}), bad_set=frozenset({0}))
@@ -191,104 +190,126 @@ class PipelineConfig:
             seed=mix64(self.seed, _Stream.TRAIN_CONFIG),
         )
 
+    def model_spec(self, dataset: Dataset) -> ModelSpec:
+        return ModelSpec(
+            input_dim=dataset.feature_dim,
+            hidden_dims=self.hidden_dims,
+            class_count=dataset.class_count,
+            dropout_rate=self.dropout,
+        )
+
+    def label_mapping(self) -> LabelSpaceMapping | None:
+        """The sentinel's class-space mapping, read from the ``mapping`` file if one is named."""
+        if self.mapping is not None:
+            return LabelSpaceMapping.from_file(self.mapping)
+        return None
+
+
+# The config document key of each field whose key differs from its name; a dot
+# nests the key in a section.  Every other field is keyed by its own name.
+_JSON_KEYS = {
+    "out_dir": "out",
+    "report_format": "format",
+    "dim": "d",
+    "noise_rate": "noise.rate",
+    "noise_kind": "noise.kind",
+    "transition": "noise.transition",
+}
+
+
+def _json_keys(cls) -> dict[str, str]:
+    return {f.name: _JSON_KEYS.get(f.name, f.name) for f in fields(cls)}
+
+
+def _put(doc: dict, key: str, value) -> None:
+    *sections, leaf = key.split(".")
+    for section in sections:
+        if not isinstance(doc.get(section), dict):
+            doc[section] = {}
+        doc = doc[section]
+    doc[leaf] = value
+
+
+def _to_doc(obj) -> dict:
+    doc: dict = {}
+    for name, key in _json_keys(type(obj)).items():
+        value = getattr(obj, name)
+        if isinstance(value, tuple):
+            value = [list(v) if isinstance(v, tuple) else v for v in value]
+        _put(doc, key, value)
+    return doc
+
+
+def _from_doc(cls, doc, where: str) -> dict:
+    """Constructor arguments for ``cls`` from its document; unknown keys are errors."""
+    names = {key: name for name, key in _json_keys(cls).items()}
+    sections = {key.split(".")[0] for key in names if "." in key}
+    flat = {}
+    for key, value in _json_object(doc, where).items():
+        if key in sections:
+            inner = _json_object(value, f"{where}.{key}")
+            flat.update({f"{key}.{sub}": v for sub, v in inner.items()})
+        else:
+            flat[key] = value
+    unknown = set(flat) - set(names)
+    if unknown:
+        raise ValueError(f"unknown {where} keys {sorted(unknown)}")
+    return {names[key]: value for key, value in flat.items()}
+
+
+def _json_object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    return doc
+
 
 def config_from_dict(doc: dict) -> PipelineConfig:
-    """Build a config from the JSON document schema used by the CLI."""
-    doc = dict(doc)
-    policy = doc.get("policy", "overwrite")
-    thresholds = None
-    section = doc.get("thresholds")
+    """Build a config from the JSON document schema that ``config_to_dict`` writes."""
+    kwargs = _from_doc(PipelineConfig, doc, "config")
+    section = kwargs.get("thresholds")
     if section is not None:
-        if set(section) - set(POLICY_KINDS):
-            raise ValueError(f"unknown threshold sections {sorted(set(section) - set(POLICY_KINDS))}")
-        if policy in section:
-            thresholds = thresholds_from_section(policy, section[policy])
-        elif section:
+        policy = kwargs.get("policy", PipelineConfig.policy)
+        unknown = set(_json_object(section, "thresholds")) - set(THRESHOLDS)
+        if unknown:
+            raise ValueError(f"unknown threshold sections {sorted(unknown)}")
+        if section and policy not in section:
             raise ValueError(f"thresholds section {sorted(section)} does not match policy {policy!r}")
-    benchmark = None
-    if doc.get("benchmark") is not None:
-        b = dict(doc["benchmark"])
-        noise = dict(b.pop("noise", {}))
-        benchmark = BenchmarkConfig(
-            n=b.get("n", 2000),
-            dim=b.get("d", b.get("dim", 2)),
-            class_count=b.get("class_count", 2),
-            centers=tuple(tuple(c) for c in b.get("centers", ((-2.0, 0.0), (2.0, 0.0)))),
-            spread=b.get("spread", 1.0),
-            dev_size=b.get("dev_size", 200),
-            test_size=b.get("test_size", 500),
-            noise_rate=noise.get("rate", 0.3),
-            noise_kind=noise.get("kind", "symmetric"),
-            transition=tuple(tuple(r) for r in noise["transition"]) if noise.get("transition") else None,
-        )
-    return PipelineConfig(
-        seed=doc.get("seed", 0),
-        out_dir=doc.get("out", doc.get("out_dir", "out")),
-        dataset=doc.get("dataset"),
-        test_dataset=doc.get("test_dataset"),
-        dev_dataset=doc.get("dev_dataset"),
-        sentinel=doc.get("sentinel", "cv"),
-        folds=doc.get("folds", 5),
-        dump=doc.get("dump"),
-        dev_dump=doc.get("dev_dump"),
-        mapping=doc.get("mapping"),
-        passes=doc.get("passes", 10),
-        hidden_dims=tuple(doc.get("hidden_dims", (64, 64))),
-        dropout=doc.get("dropout", 0.1),
-        learning_rate=doc.get("learning_rate", 0.3),
-        epochs=doc.get("epochs", 150),
-        batch_size=doc.get("batch_size", 64),
-        policy=policy,
-        thresholds=thresholds,
-        benchmark=benchmark,
-        sweep={k: list(v) for k, v in doc["sweep"].items()} if doc.get("sweep") else None,
-        report_format=doc.get("format", "json"),
-    )
+        kwargs["thresholds"] = thresholds_from_section(policy, section[policy]) if section else None
+    if kwargs.get("benchmark") is not None:
+        kwargs["benchmark"] = BenchmarkConfig(**_from_doc(BenchmarkConfig, kwargs["benchmark"], "benchmark"))
+    return PipelineConfig(**kwargs)
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
-    doc = {
-        "seed": config.seed,
-        "out": config.out_dir,
-        "dataset": config.dataset,
-        "test_dataset": config.test_dataset,
-        "dev_dataset": config.dev_dataset,
-        "sentinel": config.sentinel,
-        "folds": config.folds,
-        "dump": config.dump,
-        "dev_dump": config.dev_dump,
-        "mapping": config.mapping,
-        "passes": config.passes,
-        "hidden_dims": list(config.hidden_dims),
-        "dropout": config.dropout,
-        "learning_rate": config.learning_rate,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "policy": config.policy,
-        "thresholds": {config.policy: thresholds_to_section(config.thresholds)}
-        if config.thresholds is not None
-        else None,
-        "sweep": config.sweep,
-        "format": config.report_format,
-    }
+    doc = _to_doc(config)
+    if config.thresholds is not None:
+        doc["thresholds"] = {config.policy: thresholds_to_section(config.thresholds)}
     if config.benchmark is not None:
-        b = config.benchmark
-        doc["benchmark"] = {
-            "n": b.n,
-            "d": b.dim,
-            "class_count": b.class_count,
-            "centers": [list(c) for c in b.centers],
-            "spread": b.spread,
-            "dev_size": b.dev_size,
-            "test_size": b.test_size,
-            "noise": {
-                "rate": b.noise_rate,
-                "kind": b.noise_kind,
-                "transition": [list(r) for r in b.transition] if b.transition else None,
-            },
-        }
-    else:
-        doc["benchmark"] = None
+        doc["benchmark"] = _to_doc(config.benchmark)
+    return doc
+
+
+def overlay_flags(doc: dict, flags: dict) -> dict:
+    """A copy of a config document with command-line values laid over it.
+
+    ``flags`` maps each flag to its value, ``None`` for a flag not given.  A
+    flag is named after its document key, with ``_`` for the dots of a nested
+    key (``noise_rate`` sets ``benchmark.noise.rate``); threshold field flags
+    set the policy's ``thresholds`` section.
+    """
+    doc = copy.deepcopy(_json_object(doc, "config"))
+    given = {name: value for name, value in flags.items() if value is not None}
+    for key in _json_keys(PipelineConfig).values():
+        if key in given:
+            doc[key] = given[key]
+    for key in _json_keys(BenchmarkConfig).values():
+        if key.replace(".", "_") in given:
+            _put(doc, f"benchmark.{key}", given[key.replace(".", "_")])
+    names = {f.name for kind in THRESHOLDS.values() for f in fields(kind)}
+    section = {name: value for name, value in given.items() if name in names}
+    if section:
+        policy = doc.get("policy", PipelineConfig.policy)
+        doc["thresholds"] = {policy: {**(doc.get("thresholds") or {}).get(policy, {}), **section}}
     return doc
 
 
@@ -309,13 +330,9 @@ class PipelineResult:
     sweep_table: list | None = None
 
 
-def _load_mapping(config: PipelineConfig) -> LabelSpaceMapping | None:
-    if config.mapping is not None:
-        return LabelSpaceMapping.from_file(config.mapping)
-    return None
-
-
-def _decide_all(policy: str, dists, labels: dict[str, int], thresholds, mapping):
+def decide_all(policy: str, dists, labels: dict[str, int], thresholds, mapping: LabelSpaceMapping | None):
+    """One decision per distribution; ``mapping`` turns a sentinel's classes into
+    evidence for the filter policy (``None``: a binary sentinel in the target's space)."""
     decisions = []
     for dist in dists:
         label = labels.get(dist.example_id)
@@ -340,33 +357,30 @@ def _decide_all(policy: str, dists, labels: dict[str, int], thresholds, mapping)
     return decisions
 
 
-def _sentinel_distributions(config: PipelineConfig, dataset: Dataset, seed_stream: int, dump: str | None):
-    """Distributions for one dataset, from CV or an external dump, gold stripped."""
+def sentinel_distributions(config: PipelineConfig, dataset: Dataset, dev: bool = False):
+    """Distributions for one dataset, from CV or an external dump, gold stripped.
+
+    ``dev`` marks the dev split: it draws the CV sentinel from its own seed
+    stream and reads ``dev_dump`` in place of ``dump``.  Returns
+    (distributions, FoldAssignment or None).
+    """
     if config.sentinel == "cv":
         if dataset.feature_dim is None:
             raise ValueError("the cv sentinel needs feature-vector data")
-        spec = ModelSpec(
-            input_dim=dataset.feature_dim,
-            hidden_dims=config.hidden_dims,
-            class_count=dataset.class_count,
-            dropout_rate=config.dropout,
-        )
         return build_cv_sentinel(
             dataset.strip_gold(),
             config.folds,
-            spec,
+            config.model_spec(dataset),
             config.train_config(),
             config.passes,
-            mix64(config.seed, seed_stream),
+            mix64(config.seed, _Stream.SWEEP_SENTINEL if dev else _Stream.SENTINEL),
         )
+    dump = config.dev_dump if dev else config.dump
     if dump is None:
         raise ValueError("external sentinel needs a distribution dump for this dataset")
-    mapping = _load_mapping(config)
+    mapping = config.label_mapping()
     width = len(mapping.roles) if mapping is not None else dataset.class_count
     return ingest_external_dump(dump, config.passes, width), None
-
-
-GRID_FIELDS = {"filter": ("t1", "s1", "t2", "s2"), "overwrite": ("t1", "s1", "t2", "s2"), "quantile": ("q1", "q2")}
 
 
 def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
@@ -380,26 +394,26 @@ def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
         raise ValueError("config carries no sweep grid")
     if not clean_dev.examples or any(ex.gold_label is None for ex in clean_dev.examples):
         raise ValueError("sweep needs a non-empty dev set with gold labels")
-    fields = GRID_FIELDS[config.policy]
-    unknown = set(config.sweep) - set(fields)
+    grid = grid_fields(config.policy)
+    unknown = set(config.sweep) - set(grid)
     if unknown:
         raise ValueError(f"sweep grid names unknown fields {sorted(unknown)} for policy {config.policy!r}")
     base = thresholds_to_section(config.resolved_thresholds(clean_dev.class_count))
-    axes = [sorted(set(float(v) for v in config.sweep.get(f, [base[f]]))) for f in fields]
+    axes = [sorted(set(float(v) for v in config.sweep.get(f, [base[f]]))) for f in grid]
     truth = {ex.id: ex.label != ex.gold_label for ex in clean_dev.examples}
     labels = clean_dev.labels_by_id()
-    dists, _ = _sentinel_distributions(config, clean_dev, _Stream.SWEEP_SENTINEL, config.dev_dump)
-    mapping = _load_mapping(config)
+    dists, _ = sentinel_distributions(config, clean_dev, dev=True)
+    mapping = config.label_mapping()
     total_bad = sum(truth.values())
     table = []
     for point in itertools.product(*axes):
         section = dict(base)
-        section.update(dict(zip(fields, point)))
+        section.update(dict(zip(grid, point)))
         try:
             candidate = thresholds_from_section(config.policy, section)
         except ValueError:
             continue  # grid points violating threshold invariants are skipped
-        decisions = _decide_all(config.policy, dists, labels, candidate, mapping)
+        decisions = decide_all(config.policy, dists, labels, candidate, mapping)
         flagged = [d for d in decisions if d.verdict != KEEP]
         tp = sum(1 for d in flagged if truth[d.example_id])
         fp = len(flagged) - tp
@@ -408,7 +422,7 @@ def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
         f1 = 2 * tp / denom if denom else 0.0
         table.append(
             {
-                **{f: v for f, v in zip(fields, point)},
+                **{f: v for f, v in zip(grid, point)},
                 "f1": f1,
                 "precision": tp / len(flagged) if flagged else 1.0,
                 "recall": tp / total_bad if total_bad else 0.0,
@@ -417,9 +431,9 @@ def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
         )
     if not table:
         raise ValueError("sweep grid is empty after dropping invalid points")
-    best = min(table, key=lambda row: (-row["f1"], row["flagged"], tuple(row[f] for f in fields)))
+    best = min(table, key=lambda row: (-row["f1"], row["flagged"], tuple(row[f] for f in grid)))
     section = dict(base)
-    section.update({f: best[f] for f in fields})
+    section.update({f: best[f] for f in grid})
     return thresholds_from_section(config.policy, section), table
 
 
@@ -427,7 +441,7 @@ def _fit(spec: ModelSpec, train_cfg: TrainConfig, seed: int, dataset: Dataset) -
     return train(init_model(spec, seed), dataset, train_cfg)
 
 
-def _evaluate(model: Model, test: Dataset) -> dict:
+def evaluate(model: Model, test: Dataset) -> dict:
     probs = predict_batch(model, feature_matrix(test))
     labels = label_vector(test)
     accuracy = float(np.mean(probs.argmax(axis=1) == labels))
@@ -448,6 +462,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     into train and dev, and detections are scored against the ground-truth mask.
     The baseline and cleaned retrains share seeds; only the training data differs.
     """
+    if config.sweep and config.benchmark is None and config.dev_dataset is None:
+        raise ValueError("sweep requires a dev dataset with gold labels: a benchmark section or dev_dataset")
     started = time.perf_counter()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -481,8 +497,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     sweep_result = None
     with _stage("thresholds"):
         if config.sweep:
-            if dev is None:
-                raise ValueError("sweep requires a dev dataset with gold labels")
             thresholds, sweep_table = sweep_thresholds(config, dev)
             sweep_result = {"best": thresholds_to_section(thresholds), "table": sweep_table}
         else:
@@ -490,13 +504,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             thresholds = config.resolved_thresholds(working.class_count)
 
     with _stage("sentinel"):
-        dists, fold_assignment = _sentinel_distributions(
-            config, working, _Stream.SENTINEL, config.dump
-        )
+        dists, fold_assignment = sentinel_distributions(config, working)
 
     with _stage("decide"):
-        decisions = _decide_all(
-            config.policy, dists, working.labels_by_id(), thresholds, _load_mapping(config)
+        decisions = decide_all(
+            config.policy, dists, working.labels_by_id(), thresholds, config.label_mapping()
         )
         # decisions are the audit trail; persist them before anything is applied
         save_decisions(decisions, str(out_dir / "decisions.jsonl"))
@@ -511,19 +523,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     evaluation = None
     if test is not None:
         with _stage("retrain"):
-            spec = ModelSpec(
-                input_dim=working.feature_dim,
-                hidden_dims=config.hidden_dims,
-                class_count=working.class_count,
-                dropout_rate=config.dropout,
-            )
+            spec = config.model_spec(working)
             train_cfg = config.train_config()
             retrain_seed = mix64(config.seed, _Stream.RETRAIN)
             baseline_model = _fit(spec, train_cfg, retrain_seed, working)
             cleaned_model = _fit(spec, train_cfg, retrain_seed, cleaned)
             evaluation = {
-                "baseline": _evaluate(baseline_model, test),
-                "cleaned": _evaluate(cleaned_model, test),
+                "baseline": evaluate(baseline_model, test),
+                "cleaned": evaluate(cleaned_model, test),
             }
 
     detection = None

@@ -9,7 +9,7 @@ gold labels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .data import Dataset, PredictiveDistribution
 from .uncertainty import UncertaintySummary, ordinal_quantile
@@ -246,63 +246,37 @@ def load_decisions(path: str) -> list[Decision]:
     return out
 
 
-THRESHOLD_KINDS = ("filter", "overwrite", "quantile")
+THRESHOLDS = {"filter": FilterThresholds, "overwrite": OverwriteThresholds, "quantile": QuantileThresholds}
+
+
+def grid_fields(kind: str) -> tuple[str, ...]:
+    """The float-defaulted fields of a policy's thresholds: the ones a sweep varies."""
+    return tuple(f.name for f in fields(THRESHOLDS[kind]) if isinstance(f.default, float))
 
 
 def thresholds_from_section(kind: str, section: dict | None):
     """Build a thresholds object from one named config section; omitted fields
     take the default operating-point values."""
+    if kind not in THRESHOLDS:
+        raise ValueError(f"unknown policy kind {kind!r}, expected one of {tuple(THRESHOLDS)}")
     section = dict(section or {})
-    allowed = {
-        "filter": {"t1", "s1", "t2", "s2"},
-        "overwrite": {"t1", "s1", "t2", "s2"},
-        "quantile": {"q1", "q2", "ordering", "good_set", "bad_set"},
-    }
-    if kind not in allowed:
-        raise ValueError(f"unknown policy kind {kind!r}, expected one of {THRESHOLD_KINDS}")
-    unknown = set(section) - allowed[kind]
+    cls = THRESHOLDS[kind]
+    unknown = set(section) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {kind} threshold fields {sorted(unknown)}")
-    if kind == "filter":
-        return FilterThresholds(**section)
-    if kind == "overwrite":
-        return OverwriteThresholds(**section)
-    if not {"ordering", "good_set", "bad_set"} <= set(section):
-        raise ValueError("quantile thresholds need ordering, good_set, and bad_set")
-    return QuantileThresholds(
-        ordering=tuple(section["ordering"]),
-        good_set=frozenset(section["good_set"]),
-        bad_set=frozenset(section["bad_set"]),
-        q1=section.get("q1", 0.9),
-        q2=section.get("q2", 0.1),
-    )
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in section]
+    if missing:
+        raise ValueError(f"{kind} thresholds need {', '.join(missing)}")
+    return cls(**section)
 
 
 def thresholds_to_section(thresholds) -> dict:
-    if isinstance(thresholds, (FilterThresholds, OverwriteThresholds)):
-        return {
-            "t1": thresholds.t1,
-            "s1": thresholds.s1,
-            "t2": thresholds.t2,
-            "s2": thresholds.s2,
-        }
-    if isinstance(thresholds, QuantileThresholds):
-        return {
-            "q1": thresholds.q1,
-            "q2": thresholds.q2,
-            "ordering": list(thresholds.ordering),
-            "good_set": sorted(thresholds.good_set),
-            "bad_set": sorted(thresholds.bad_set),
-        }
-    raise ValueError(f"not a thresholds object: {thresholds!r}")
-
-
-def load_threshold_config(path: str) -> dict:
-    """Read a threshold config file with named sections filter/overwrite/quantile."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    out = {}
-    for kind in THRESHOLD_KINDS:
-        if kind in doc:
-            out[kind] = thresholds_from_section(kind, doc[kind])
-    return out
+    if not isinstance(thresholds, tuple(THRESHOLDS.values())):
+        raise ValueError(f"not a thresholds object: {thresholds!r}")
+    section = {}
+    for f in fields(thresholds):
+        value = getattr(thresholds, f.name)
+        if isinstance(value, (tuple, frozenset)):
+            value = sorted(value) if isinstance(value, frozenset) else list(value)
+        section[f.name] = value
+    return section

@@ -1,7 +1,13 @@
+import ast
 import json
+from pathlib import Path
 
+import pytest
+
+from labelaudit import cli
 from labelaudit.cli import main
 from labelaudit.data import load_dataset, load_distributions
+from labelaudit.mlp import load_model
 from labelaudit.noisebench import load_noise_mask
 from labelaudit.policy import load_decisions
 
@@ -257,3 +263,86 @@ def test_validation_errors_exit_one(tmp_path):
 
 def test_usage_error_exits_one():
     assert main([]) == 1
+
+
+def _write_dump(path, ids, passes):
+    path.write_text(
+        "".join(json.dumps({"example_id": i, "passes": [[0.5, 0.5]] * passes}) + "\n" for i in ids)
+    )
+
+
+@pytest.mark.parametrize("command", ["train", "build-sentinel", "decide"])
+def test_stage_commands_take_settings_from_config(tmp_path, command):
+    data = tmp_path / "data.jsonl"
+    main(["make-data", "--out", str(data), "--n", "12", "--seed", "1"])
+    ids = [ex.id for ex in load_dataset(str(data)).examples]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"hidden_dims": [4], "passes": 5, "folds": 2, "epochs": 1}))
+    out = tmp_path / "out"
+    base = [command, "--config", str(cfg), "--dataset", str(data), "--out", str(out)]
+
+    def run(flags, passes):
+        if command == "decide":
+            _write_dump(tmp_path / "dump.jsonl", ids, passes)
+            flags = flags + ["--dump", str(tmp_path / "dump.jsonl")]
+        assert main(base + flags) == 0
+
+    if command == "train":
+        run([], None)
+        assert load_model(str(out)).spec.hidden_dims == (4,)
+        run(["--hidden-dims", "3"], None)  # an explicit flag beats the config
+        assert load_model(str(out)).spec.hidden_dims == (3,)
+    elif command == "build-sentinel":
+        run([], None)
+        assert {d.t_count for d in load_distributions(str(out))} == {5}
+        run(["--passes", "3"], None)
+        assert {d.t_count for d in load_distributions(str(out))} == {3}
+    else:
+        run([], 5)
+        assert len(load_decisions(str(out))) == 12
+        run(["--passes", "3"], 3)
+        assert len(load_decisions(str(out))) == 12
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"epoch": 3}, "epoch"),
+        ({"benchmark": {"n": 60, "dims": 2}}, "dims"),
+        ({"benchmark": {"n": 60, "noise": {"rate": 0.3, "knid": "symmetric"}}}, "noise.knid"),
+        ({"out_dir": "elsewhere"}, "out_dir"),  # read-only alias, no longer accepted
+    ],
+)
+def test_unknown_config_keys_exit_one(tmp_path, capsys, doc, key):
+    data = tmp_path / "data.jsonl"
+    main(["make-data", "--out", str(data), "--n", "20", "--seed", "1"])
+    if "benchmark" not in doc:
+        doc = {**doc, "dataset": str(data)}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**doc, "out": str(tmp_path / "run")}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_sweep_without_dev_source_exits_one(tmp_path):
+    data = tmp_path / "data.jsonl"
+    main(["make-data", "--out", str(data), "--n", "20", "--seed", "1"])
+    cfg = tmp_path / "config.json"
+    out = tmp_path / "run"
+    cfg.write_text(json.dumps({"dataset": str(data), "out": str(out), "sweep": {"t1": [0.2, 0.3]}}))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert not (out / "decisions.jsonl").exists()
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("labelaudit"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -239,6 +239,27 @@ def test_validate_distribution_reports_first_bad_row():
         validate_distribution(dist)
 
 
+@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0]])
+def test_validate_distribution_rejects_non_finite_rows(row):
+    dist = PredictiveDistribution("a", [[0.5, 0.5], row])
+    with pytest.raises(DataFormatError, match="row 1"):
+        validate_distribution(dist)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_features_rejected(tmp_path, value):
+    path = _write(
+        tmp_path,
+        [
+            '{"class_count": 2}',
+            '{"id": "a", "label": 0, "features": [1.0, 2.0]}',
+            f'{{"id": "b", "label": 1, "features": [{value}, 2.0]}}',
+        ],
+    )
+    with pytest.raises(DataFormatError, match="line 3: features must be finite"):
+        load_dataset(path)
+
+
 def test_distribution_shape_invariants():
     with pytest.raises(DataFormatError):
         PredictiveDistribution("a", [[0.9]])  # C < 2

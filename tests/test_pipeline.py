@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,3 +381,11 @@ def test_text_format_run_writes_both_reports(tmp_path):
     run_pipeline(config)
     assert (tmp_path / "t" / "report.json").exists()
     assert (tmp_path / "t" / "report.txt").exists()
+
+
+def test_readme_configs_load():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) >= 4
+    for block in blocks:
+        config_from_dict(json.loads(block))

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from labelaudit.data import Dataset, LabeledExample, PredictiveDistribution
+from labelaudit.pipeline import config_from_dict
 from labelaudit.policy import (
     KEEP,
     NEGATIVE,
@@ -20,7 +21,6 @@ from labelaudit.policy import (
     decide_overwrite,
     decide_quantile,
     load_decisions,
-    load_threshold_config,
     rule_histogram,
     save_decisions,
     thresholds_from_section,
@@ -242,20 +242,28 @@ def test_rule_histogram():
     assert rule_histogram(decisions) == {"none": 1, "r": 2}
 
 
-def test_threshold_config_sections(tmp_path):
-    path = tmp_path / "thresholds.json"
-    path.write_text(
-        '{"filter": {"t1": 0.8}, "overwrite": {}, '
-        '"quantile": {"ordering": [0, 1], "good_set": [1], "bad_set": [0], "q1": 0.8}}'
-    )
-    sections = load_threshold_config(str(path))
+def test_threshold_config_sections():
+    docs = {
+        "filter": {"t1": 0.8},
+        "overwrite": {},
+        "quantile": {"ordering": [0, 1], "good_set": [1], "bad_set": [0], "q1": 0.8},
+    }
+    sections = {kind: thresholds_from_section(kind, doc) for kind, doc in docs.items()}
     assert sections["filter"].t1 == 0.8
     assert sections["filter"].s1 == 0.2  # omitted fields take defaults
     assert sections["overwrite"] == OverwriteThresholds()
     assert sections["quantile"].q1 == 0.8
+    assert sections["quantile"].q2 == 0.1
     for kind in ("filter", "overwrite", "quantile"):
         section = thresholds_to_section(sections[kind])
         assert thresholds_from_section(kind, section) == sections[kind]
+        # the run config's thresholds section is the same named section
+        config = config_from_dict({"dataset": "d.jsonl", "policy": kind, "thresholds": {kind: docs[kind]}})
+        assert config.thresholds == sections[kind]
+    with pytest.raises(ValueError, match="unknown filter threshold fields"):
+        thresholds_from_section("filter", {"q1": 0.5})
+    with pytest.raises(ValueError, match="need ordering, good_set, bad_set"):
+        thresholds_from_section("quantile", {"q1": 0.8})
 
 
 def test_monotonicity_tightening_never_grows_removals(rng):
