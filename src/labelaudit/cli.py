@@ -12,12 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .data import (
-    DataFormatError,
-    load_dataset,
-    save_dataset,
-    save_distributions,
-)
+from .data import load_dataset, read_json, save_dataset, save_distributions, write_json, write_jsonl
 from .mlp import init_model, load_model, mcd_predict, save_model, train
 from .noisebench import NoiseSpec, inject_noise, make_blobs, save_noise_mask
 from .pipeline import (
@@ -167,11 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_doc(args) -> dict:
     """The --config document with every given flag laid over it."""
-    doc = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    return overlay_flags(doc, vars(args))
+    return overlay_flags(read_json(args.config) if args.config else {}, vars(args))
 
 
 def _require(args, flag: str):
@@ -250,9 +241,7 @@ def _cmd_build_sentinel(args) -> int:
     )
     save_distributions(dists, out)
     if args.folds_out:
-        with open(args.folds_out, "w", encoding="utf-8") as fh:
-            json.dump({"k": assignment.k, "fold_of": assignment.fold_of}, fh, sort_keys=True)
-            fh.write("\n")
+        write_json(args.folds_out, {"k": assignment.k, "fold_of": assignment.fold_of})
     print(f"wrote {len(dists)} out-of-fold distributions ({config.folds} folds) to {out}")
     return 0
 
@@ -297,9 +286,7 @@ def _cmd_sweep(args) -> int:
     best, table = sweep_thresholds(config, dev)
     print(json.dumps({"best": thresholds_to_section(best)}, sort_keys=True))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"best": thresholds_to_section(best), "table": table}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, {"best": thresholds_to_section(best), "table": table}, indent=2)
     return 0
 
 
@@ -309,22 +296,16 @@ def _cmd_evaluate(args) -> int:
     result = evaluate(model, dataset)
     print(json.dumps(result, sort_keys=True))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, result, indent=2)
     return 0
 
 
 def _cmd_sdg_mask(args) -> int:
     out = _require(args, "out")
     dataset = load_dataset(args.dataset, expected_schema="tokens")
-    count = 0
-    with open(out, "w", encoding="utf-8") as fh:
-        for ex in dataset.examples:
-            proposals = select_masks(ex.tokens, args.rule)
-            rec = {"id": ex.id, "proposals": [proposal_record(p) for p in proposals]}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            count += len(proposals)
+    proposals = {ex.id: select_masks(ex.tokens, args.rule) for ex in dataset.examples}
+    write_jsonl(out, ({"id": i, "proposals": [proposal_record(p) for p in ps]} for i, ps in proposals.items()))
+    count = sum(map(len, proposals.values()))
     print(f"rule {args.rule}: {count} proposals over {len(dataset)} sentences -> {out}")
     return 0
 
@@ -373,7 +354,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (DataFormatError, ValueError, json.JSONDecodeError, FileNotFoundError) as err:
+    except (ValueError, FileNotFoundError) as err:  # a DataFormatError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 1
     except PipelineError as err:

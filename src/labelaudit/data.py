@@ -1,16 +1,20 @@
-"""Domain types and line-delimited JSON I/O for datasets and prediction dumps.
+"""Domain types and the file boundary: every file labelaudit reads or writes
+goes through ``read_json``/``read_jsonl`` and the atomic ``write_lines``.
 
 A dataset file is one JSON header line ``{"class_count": C, "class_names": [...]}``
 followed by one record per example.  A distribution file holds one
-``{"example_id": ..., "passes": [[...], ...]}`` record per line.  All types are
-immutable after construction and safe to share across threads.
+``{"example_id": ..., "passes": [[...], ...]}`` record per line.  Writers sort
+keys and end every file with a newline.  All types are immutable after
+construction and safe to share across threads.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -190,65 +194,102 @@ def validate_distribution(dist: PredictiveDistribution) -> None:
     )
 
 
-def _parse_line(path: str, lineno: int, line: str) -> dict:
+RECORD_ERRORS = (KeyError, TypeError, ValueError)
+
+
+def located(where: str, err: Exception) -> DataFormatError:
+    """The location rule: a missing field (``KeyError``) or a wrongly typed value
+    (``TypeError``/``ValueError``) raised while a record is built becomes a
+    DataFormatError prefixed with ``where``: a file name, ``"<path>: line <n>"``
+    or a config section."""
+    detail = f"missing field {err}" if isinstance(err, KeyError) else str(err)
+    return DataFormatError(f"{where}: {detail}")
+
+
+def _parse_object(text: str) -> dict:
     try:
-        rec = json.loads(line)
+        doc = json.loads(text)
     except json.JSONDecodeError as err:
-        raise DataFormatError(f"{path}: line {lineno}: malformed JSON ({err.msg})") from err
-    if not isinstance(rec, dict):
-        raise DataFormatError(f"{path}: line {lineno}: expected a JSON object")
-    return rec
+        raise ValueError(f"malformed JSON ({err.msg})") from None
+    if not isinstance(doc, dict):
+        raise TypeError("expected a JSON object")
+    return doc
 
 
-def _token_from_record(path: str, lineno: int, rec: dict) -> TaggedToken:
+def read_json(path: str, build: Callable = dict):
+    """``build`` applied to the JSON object that makes up a whole file, under the location rule."""
     try:
-        return TaggedToken(
-            text=rec["text"],
-            pos=rec["pos"],
-            is_compound_head=bool(rec.get("is_compound_head", False)),
-            is_entity=bool(rec.get("is_entity", False)),
-        )
-    except KeyError as err:
-        raise DataFormatError(f"{path}: line {lineno}: token missing field {err}") from None
-    except DataFormatError as err:
-        raise DataFormatError(f"{path}: line {lineno}: {err}") from None
+        with open(path, encoding="utf-8") as fh:
+            return build(_parse_object(fh.read()))
+    except RECORD_ERRORS as err:
+        raise located(path, err) from None
 
 
-def _example_from_record(path: str, lineno: int, rec: dict, expected_schema: str | None) -> LabeledExample:
-    for field in ("id", "label"):
-        if field not in rec:
-            raise DataFormatError(f"{path}: line {lineno}: record missing {field!r}")
-    exid, label = rec["id"], rec["label"]
+def read_jsonl(path: str, build: Callable, header: Callable | None = None) -> Iterator:
+    """``build`` applied to the JSON object on each non-blank line (``header`` to the
+    first, when given), under the location rule with one handler per file."""
+    where = path
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    where = f"{path}: line {lineno}"
+                    yield (header or build)(_parse_object(line))
+                    header = None
+    except RECORD_ERRORS as err:
+        raise located(where, err) from None
+
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Stream ``lines`` into a temp file beside ``path``, then rename it over ``path``:
+    an interrupted write leaves the previous file as it was and no temp file behind."""
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_json(path: str, doc: dict, indent: int | None = None) -> None:
+    write_lines(path, (json.dumps(doc, indent=indent, sort_keys=True), "\n"))
+
+
+def write_jsonl(path: str, records: Iterable[dict]) -> None:
+    write_lines(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+
+
+def _dataset_header(rec: dict) -> tuple[int, tuple[str, ...] | None]:
+    if type(rec["class_count"]) is not int:  # JSON true/false would pass isinstance(..., int)
+        raise TypeError("header needs an integer class_count")
+    return rec["class_count"], tuple(rec["class_names"]) if rec.get("class_names") else None
+
+
+def _example_from_record(rec: dict, expected_schema: str | None) -> LabeledExample:
+    exid, label, gold = rec["id"], rec["label"], rec.get("gold_label")
     if not isinstance(exid, str):
-        raise DataFormatError(f"{path}: line {lineno}: id must be a string")
-    if isinstance(label, bool) or not isinstance(label, int):
-        raise DataFormatError(f"{path}: line {lineno}: label must be an integer")
+        raise TypeError("id must be a string")
+    if type(label) is not int or (gold is not None and type(gold) is not int):
+        raise TypeError("label and gold_label must be integers")
     has_features = "features" in rec
-    has_tokens = "tokens" in rec
-    if has_features == has_tokens:
-        raise DataFormatError(
-            f"{path}: line {lineno}: record needs exactly one of features/tokens"
-        )
+    if has_features == ("tokens" in rec):
+        raise DataFormatError("record needs exactly one of features/tokens")
     schema = FEATURES if has_features else TOKENS
     if expected_schema is not None and schema != expected_schema:
-        raise DataFormatError(
-            f"{path}: line {lineno}: record schema {schema} does not match expected {expected_schema}"
-        )
-    gold = rec.get("gold_label")
-    if gold is not None and (isinstance(gold, bool) or not isinstance(gold, int)):
-        raise DataFormatError(f"{path}: line {lineno}: gold_label must be an integer")
-    try:
-        if has_features:
-            ex = LabeledExample(id=exid, label=label, features=tuple(rec["features"]), gold_label=gold)
-            if not all(map(math.isfinite, ex.features)):
-                raise DataFormatError(f"{path}: line {lineno}: features must be finite numbers")
-            return ex
-        tokens = tuple(_token_from_record(path, lineno, t) for t in rec["tokens"])
-        return LabeledExample(id=exid, label=label, tokens=tokens, gold_label=gold)
-    except (TypeError, ValueError) as err:
-        if isinstance(err, DataFormatError):
-            raise
-        raise DataFormatError(f"{path}: line {lineno}: {err}") from err
+        raise DataFormatError(f"record schema {schema} does not match expected {expected_schema}")
+    if has_features:
+        ex = LabeledExample(id=exid, label=label, features=tuple(rec["features"]), gold_label=gold)
+        if not all(map(math.isfinite, ex.features)):
+            raise DataFormatError("features must be finite numbers")
+        return ex
+    tokens = tuple(
+        TaggedToken(t["text"], t["pos"], bool(t.get("is_compound_head")), bool(t.get("is_entity")))
+        for t in rec["tokens"]
+    )
+    return LabeledExample(id=exid, label=label, tokens=tokens, gold_label=gold)
 
 
 def load_dataset(path: str, expected_schema: str | None = None) -> Dataset:
@@ -257,75 +298,46 @@ def load_dataset(path: str, expected_schema: str | None = None) -> Dataset:
     ``expected_schema`` pins the record kind (``"features"`` or ``"tokens"``);
     ``None`` accepts either but still requires the file to be uniform.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    rows = read_jsonl(path, lambda rec: _example_from_record(rec, expected_schema), _dataset_header)
+    header = next(rows, None)
+    if header is None:
         raise DataFormatError(f"{path}: empty file, missing header line")
-    header = _parse_line(path, 1, lines[0])
-    class_count = header.get("class_count")
-    if isinstance(class_count, bool) or not isinstance(class_count, int):
-        raise DataFormatError(f"{path}: line 1: header needs an integer class_count")
-    class_names = header.get("class_names")
-    examples = []
-    schema = expected_schema
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        ex = _example_from_record(path, lineno, _parse_line(path, lineno, line), schema)
-        schema = ex.schema  # first record fixes the schema when none was expected
-        examples.append(ex)
-    return Dataset(class_count, tuple(examples), tuple(class_names) if class_names else None)
+    examples = tuple(rows)
+    try:
+        return Dataset(header[0], examples, header[1])
+    except DataFormatError as err:
+        raise located(path, err) from None
+
+
+def _example_record(ex: LabeledExample) -> dict:
+    rec: dict = {"id": ex.id, "label": ex.label}
+    if ex.features is not None:
+        rec["features"] = list(ex.features)
+    else:
+        rec["tokens"] = [
+            {"text": t.text, "pos": t.pos, "is_compound_head": t.is_compound_head, "is_entity": t.is_entity}
+            for t in ex.tokens
+        ]
+    if ex.gold_label is not None:
+        rec["gold_label"] = ex.gold_label
+    return rec
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write a dataset so that ``load_dataset`` reproduces it field-for-field."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header: dict = {"class_count": dataset.class_count}
-        if dataset.class_names is not None:
-            header["class_names"] = list(dataset.class_names)
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for ex in dataset.examples:
-            rec: dict = {"id": ex.id, "label": ex.label}
-            if ex.features is not None:
-                rec["features"] = list(ex.features)
-            else:
-                rec["tokens"] = [
-                    {
-                        "text": t.text,
-                        "pos": t.pos,
-                        "is_compound_head": t.is_compound_head,
-                        "is_entity": t.is_entity,
-                    }
-                    for t in ex.tokens
-                ]
-            if ex.gold_label is not None:
-                rec["gold_label"] = ex.gold_label
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    header: dict = {"class_count": dataset.class_count}
+    if dataset.class_names is not None:
+        header["class_names"] = list(dataset.class_names)
+    write_jsonl(path, itertools.chain((header,), map(_example_record, dataset.examples)))
 
 
 def load_distributions(path: str) -> list[PredictiveDistribution]:
     """Read a line-delimited distribution dump (no header line)."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = _parse_line(path, lineno, line)
-            for field in ("example_id", "passes"):
-                if field not in rec:
-                    raise DataFormatError(f"{path}: line {lineno}: record missing {field!r}")
-            try:
-                out.append(PredictiveDistribution(rec["example_id"], rec["passes"]))
-            except (DataFormatError, TypeError, ValueError) as err:
-                raise DataFormatError(f"{path}: line {lineno}: {err}") from None
-    return out
+    return list(read_jsonl(path, lambda rec: PredictiveDistribution(rec["example_id"], rec["passes"])))
 
 
 def save_distributions(dists: Iterable[PredictiveDistribution], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in dists:
-            rec = {"example_id": d.example_id, "passes": d.passes.tolist()}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, ({"example_id": d.example_id, "passes": d.passes.tolist()} for d in dists))
 
 
 def feature_matrix(dataset: Dataset) -> np.ndarray:

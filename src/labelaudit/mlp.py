@@ -7,12 +7,11 @@ already trained model.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, PredictiveDistribution, feature_matrix, label_vector
+from .data import Dataset, PredictiveDistribution, feature_matrix, label_vector, read_json, write_json
 from .seeding import generator, mix64
 
 CHECKPOINT_FORMAT = "labelaudit-model-v1"
@@ -274,16 +273,12 @@ def save_model(model: Model, path: str) -> None:
             for w, b in zip(model.weights, model.biases)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
-def load_model(path: str) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _model_from_doc(doc: dict) -> Model:
     if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: unknown checkpoint format {doc.get('format')!r}")
+        raise ValueError(f"unknown checkpoint format {doc.get('format')!r}")
     spec = ModelSpec(
         input_dim=doc["spec"]["input_dim"],
         hidden_dims=tuple(doc["spec"]["hidden_dims"]),
@@ -293,3 +288,7 @@ def load_model(path: str) -> Model:
     weights = tuple(np.array(layer["weight"], dtype=float) for layer in doc["layers"])
     biases = tuple(np.array(layer["bias"], dtype=float) for layer in doc["layers"])
     return Model(spec, weights, biases)
+
+
+def load_model(path: str) -> Model:
+    return read_json(path, _model_from_doc)

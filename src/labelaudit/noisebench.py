@@ -1,13 +1,12 @@
 """Synthetic blob data, controlled label corruption, and ground-truth detection scoring."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, LabeledExample
+from .data import Dataset, LabeledExample, read_json, write_json
 from .policy import OVERWRITE, REMOVE
 from .seeding import generator
 
@@ -186,16 +185,14 @@ def detection_scores(decisions, mask: NoiseMask) -> DetectionReport:
 
 
 def save_noise_mask(mask: NoiseMask, path: str) -> None:
-    doc = {
-        "corrupted_ids": sorted(mask.corrupted_ids),
-        "original_label_of": {k: mask.original_label_of[k] for k in sorted(mask.original_label_of)},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    doc = {"corrupted_ids": sorted(mask.corrupted_ids), "original_label_of": mask.original_label_of}
+    write_json(path, doc)
+
+
+def _mask_from_doc(doc: dict) -> NoiseMask:
+    labels = dict(doc["original_label_of"])
+    return NoiseMask(frozenset(doc["corrupted_ids"]), {k: int(v) for k, v in labels.items()})
 
 
 def load_noise_mask(path: str) -> NoiseMask:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return NoiseMask(frozenset(doc["corrupted_ids"]), {k: int(v) for k, v in doc["original_label_of"].items()})
+    return read_json(path, _mask_from_doc)

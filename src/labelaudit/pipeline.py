@@ -20,11 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    RECORD_ERRORS,
+    DataFormatError,
     Dataset,
     feature_matrix,
     label_vector,
     load_dataset,
+    located,
+    read_json,
     save_dataset,
+    write_lines,
 )
 from .metrics import ScoredPrediction, classification_metrics
 from .mlp import Model, ModelSpec, TrainConfig, init_model, predict_batch, train
@@ -73,9 +78,10 @@ class PipelineError(RuntimeError):
 
 @contextmanager
 def _stage(name: str):
+    # malformed input content is not a runtime fault: it stays a DataFormatError
     try:
         yield
-    except PipelineError:
+    except (PipelineError, DataFormatError):
         raise
     except Exception as err:
         raise PipelineError(f"stage {name!r}: {err}") from err
@@ -191,6 +197,8 @@ class PipelineConfig:
         )
 
     def model_spec(self, dataset: Dataset) -> ModelSpec:
+        if dataset.feature_dim is None:
+            raise ValueError("the dataset has no feature vectors")
         return ModelSpec(
             input_dim=dataset.feature_dim,
             hidden_dims=self.hidden_dims,
@@ -240,44 +248,50 @@ def _to_doc(obj) -> dict:
     return doc
 
 
-def _from_doc(cls, doc, where: str) -> dict:
+def _from_doc(cls, doc) -> dict:
     """Constructor arguments for ``cls`` from its document; unknown keys are errors."""
     names = {key: name for name, key in _json_keys(cls).items()}
     sections = {key.split(".")[0] for key in names if "." in key}
     flat = {}
-    for key, value in _json_object(doc, where).items():
+    for key, value in _json_object(doc, "document").items():
         if key in sections:
-            inner = _json_object(value, f"{where}.{key}")
-            flat.update({f"{key}.{sub}": v for sub, v in inner.items()})
+            flat.update({f"{key}.{sub}": v for sub, v in _json_object(value, key).items()})
         else:
             flat[key] = value
     unknown = set(flat) - set(names)
     if unknown:
-        raise ValueError(f"unknown {where} keys {sorted(unknown)}")
+        raise ValueError(f"unknown keys {sorted(unknown)}")
     return {names[key]: value for key, value in flat.items()}
 
 
-def _json_object(doc, where: str) -> dict:
+def _json_object(doc, name: str) -> dict:
     if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
+        raise ValueError(f"{name} must be a JSON object")
     return doc
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
-    """Build a config from the JSON document schema that ``config_to_dict`` writes."""
-    kwargs = _from_doc(PipelineConfig, doc, "config")
-    section = kwargs.get("thresholds")
-    if section is not None:
-        policy = kwargs.get("policy", PipelineConfig.policy)
-        unknown = set(_json_object(section, "thresholds")) - set(THRESHOLDS)
-        if unknown:
-            raise ValueError(f"unknown threshold sections {sorted(unknown)}")
-        if section and policy not in section:
-            raise ValueError(f"thresholds section {sorted(section)} does not match policy {policy!r}")
-        kwargs["thresholds"] = thresholds_from_section(policy, section[policy]) if section else None
-    if kwargs.get("benchmark") is not None:
-        kwargs["benchmark"] = BenchmarkConfig(**_from_doc(BenchmarkConfig, kwargs["benchmark"], "benchmark"))
-    return PipelineConfig(**kwargs)
+    """Build a config from the JSON document schema that ``config_to_dict`` writes;
+    errors are located ``config:`` or ``benchmark:``, as the readers locate theirs."""
+    where = "config"
+    try:
+        kwargs = _from_doc(PipelineConfig, doc)
+        section = kwargs.get("thresholds")
+        if section is not None:
+            policy = kwargs.get("policy", PipelineConfig.policy)
+            unknown = set(_json_object(section, "thresholds")) - set(THRESHOLDS)
+            if unknown:
+                raise ValueError(f"unknown threshold sections {sorted(unknown)}")
+            if section and policy not in section:
+                raise ValueError(f"thresholds section {sorted(section)} does not match policy {policy!r}")
+            kwargs["thresholds"] = thresholds_from_section(policy, section[policy]) if section else None
+        if kwargs.get("benchmark") is not None:
+            where = "benchmark"
+            kwargs["benchmark"] = BenchmarkConfig(**_from_doc(BenchmarkConfig, kwargs["benchmark"]))
+            where = "config"
+        return PipelineConfig(**kwargs)
+    except RECORD_ERRORS as err:
+        raise located(where, err) from None
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
@@ -314,8 +328,7 @@ def overlay_flags(doc: dict, flags: dict) -> dict:
 
 
 def load_config(path: str) -> PipelineConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return read_json(path, config_from_dict)
 
 
 @dataclass
@@ -365,8 +378,6 @@ def sentinel_distributions(config: PipelineConfig, dataset: Dataset, dev: bool =
     (distributions, FoldAssignment or None).
     """
     if config.sentinel == "cv":
-        if dataset.feature_dim is None:
-            raise ValueError("the cv sentinel needs feature-vector data")
         return build_cv_sentinel(
             dataset.strip_gold(),
             config.folds,
@@ -380,7 +391,14 @@ def sentinel_distributions(config: PipelineConfig, dataset: Dataset, dev: bool =
         raise ValueError("external sentinel needs a distribution dump for this dataset")
     mapping = config.label_mapping()
     width = len(mapping.roles) if mapping is not None else dataset.class_count
-    return ingest_external_dump(dump, config.passes, width), None
+    dists = ingest_external_dump(dump, config.passes, width)
+    covered = {d.example_id for d in dists}
+    missing = [ex.id for ex in dataset.examples if ex.id not in covered]
+    if missing:
+        raise DataFormatError(
+            f"{dump}: no distribution for {len(missing)} of {len(dataset)} examples, first {missing[0]!r}"
+        )
+    return dists, None
 
 
 def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
@@ -623,8 +641,7 @@ def emit_report(report: dict, fmt: str, path: str) -> None:
         text = _render_text(report)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_lines(path, (text,))
 
 
 def default_benchmark_config(

@@ -8,10 +8,9 @@ gold labels.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, dataclass, fields, replace
 
-from .data import Dataset, PredictiveDistribution
+from .data import Dataset, PredictiveDistribution, read_jsonl, write_jsonl
 from .uncertainty import UncertaintySummary, ordinal_quantile
 
 POSITIVE = 1
@@ -215,35 +214,27 @@ def rule_histogram(decisions) -> dict[str, int]:
     return dict(sorted(hist.items()))
 
 
+def _decision_record(d: Decision) -> dict:
+    rec: dict = {"example_id": d.example_id, "verdict": d.verdict, "rule": d.rule}
+    if d.verdict == OVERWRITE:
+        rec["new_label"] = d.new_label
+    return rec
+
+
 def save_decisions(decisions, path: str) -> None:
     """Persist decisions as line-delimited JSON, one record per example."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in decisions:
-            rec: dict = {"example_id": d.example_id, "verdict": d.verdict, "rule": d.rule}
-            if d.verdict == OVERWRITE:
-                rec["new_label"] = d.new_label
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, map(_decision_record, decisions))
+
+
+def _decision_from_record(rec: dict) -> Decision:
+    new_label = rec.get("new_label")
+    if new_label is not None and type(new_label) is not int:
+        raise TypeError("new_label must be an integer")
+    return Decision(rec["example_id"], rec["verdict"], new_label, rec.get("rule", "none"))
 
 
 def load_decisions(path: str) -> list[Decision]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(
-                    Decision(
-                        example_id=rec["example_id"],
-                        verdict=rec["verdict"],
-                        new_label=rec.get("new_label"),
-                        rule=rec.get("rule", "none"),
-                    )
-                )
-            except (KeyError, ValueError) as err:
-                raise ValueError(f"{path}: line {lineno}: {err}") from None
-    return out
+    return list(read_jsonl(path, _decision_from_record))
 
 
 THRESHOLDS = {"filter": FilterThresholds, "overwrite": OverwriteThresholds, "quantile": QuantileThresholds}

@@ -3,7 +3,6 @@ or ingestion of an external model's stochastic prediction dump with a mapping
 from its class space onto evidence for/against the positive label."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,6 +12,8 @@ from .data import (
     Dataset,
     PredictiveDistribution,
     load_distributions,
+    located,
+    read_json,
     validate_distribution,
 )
 from .mlp import ModelSpec, TrainConfig, init_model, mcd_predict, train
@@ -56,16 +57,9 @@ class LabelSpaceMapping:
         return cls(("negative", "positive"), (SUPPORTS_NEGATIVE, SUPPORTS_POSITIVE))
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "LabelSpaceMapping":
-        return cls(tuple(doc["classes"]), tuple(doc["roles"]))
-
-    @classmethod
     def from_file(cls, path: str) -> "LabelSpaceMapping":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        return {"classes": list(self.class_names), "roles": list(self.roles)}
+        """Read a ``{"classes": [...], "roles": [...]}`` mapping file."""
+        return read_json(path, lambda doc: cls(tuple(doc["classes"]), tuple(doc["roles"])))
 
 
 def build_cv_sentinel(
@@ -123,19 +117,22 @@ def ingest_external_dump(path: str, expected_t: int, expected_c: int) -> list[Pr
     """Load and validate an external stochastic prediction dump.
 
     Every record must carry exactly ``expected_t`` rows of width ``expected_c``;
-    mismatches name the offending record.
+    mismatches name the file and the offending record.
     """
     dists = load_distributions(path)
-    for d in dists:
-        if d.t_count != expected_t:
-            raise DataFormatError(
-                f"dump record {d.example_id!r}: expected {expected_t} passes, found {d.t_count}"
-            )
-        if d.class_count != expected_c:
-            raise DataFormatError(
-                f"dump record {d.example_id!r}: expected {expected_c} classes, found {d.class_count}"
-            )
-        validate_distribution(d)
+    try:
+        for d in dists:
+            if d.t_count != expected_t:
+                raise DataFormatError(
+                    f"dump record {d.example_id!r}: expected {expected_t} passes, found {d.t_count}"
+                )
+            if d.class_count != expected_c:
+                raise DataFormatError(
+                    f"dump record {d.example_id!r}: expected {expected_c} classes, found {d.class_count}"
+                )
+            validate_distribution(d)
+    except DataFormatError as err:
+        raise located(path, err) from None
     return dists
 
 

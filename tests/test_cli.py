@@ -346,3 +346,66 @@ def test_cli_imports_no_private_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--dataset", "{tmp}/empty.jsonl", "--out", "{tmp}/m"], "the dataset has no feature vectors"),
+        (["build-sentinel", "--dataset", "{tmp}/empty.jsonl", "--out", "{tmp}/s"], "the dataset has no feature"),
+        (["run", "--config", "{tmp}/hidden_dims.json"], "config: "),
+        (["run", "--config", "{tmp}/centers.json"], "benchmark: "),
+    ],
+    ids=["train-header-only", "build-sentinel-header-only", "hidden-dims-not-a-list", "centers-not-a-list"],
+)
+def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, argv, message):
+    (tmp_path / "empty.jsonl").write_text('{"class_count": 2}\n')
+    out = str(tmp_path / "run")
+    (tmp_path / "hidden_dims.json").write_text(
+        json.dumps({"dataset": str(tmp_path / "empty.jsonl"), "hidden_dims": 64, "out": out})
+    )
+    (tmp_path / "centers.json").write_text(json.dumps({"benchmark": {"n": 20, "centers": 5}, "out": out}))
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+MAPPING = {
+    "classes": ["entailment", "neutral", "contradiction"],
+    "roles": ["supports_positive", "abstain", "supports_negative"],
+}
+
+
+@pytest.mark.parametrize("command", ["decide", "run"])
+@pytest.mark.parametrize("case", ["nan-feature", "row-sum", "mapping-without-roles", "partial-dump"])
+def test_malformed_input_content_exits_one(tmp_path, capsys, command, case):
+    data, dump, mapping = tmp_path / "data.jsonl", tmp_path / "dump.jsonl", tmp_path / "mapping.json"
+    main(["make-data", "--out", str(data), "--n", "50", "--seed", "1"])
+    ids = [ex.id for ex in load_dataset(str(data)).examples]
+    rows = {i: [[0.2, 0.1, 0.7]] * 10 for i in ids}
+    mapping.write_text(json.dumps(MAPPING))
+    bad = {"nan-feature": data, "mapping-without-roles": mapping}.get(case, dump)
+    if case == "nan-feature":
+        lines = data.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["features"][0] = float("nan")
+        data.write_text("\n".join(lines[:2] + [json.dumps(rec)] + lines[3:]) + "\n")
+    elif case == "row-sum":
+        rows[ids[3]] = [[0.2, 0.2, 0.7]] * 10
+    elif case == "mapping-without-roles":
+        mapping.write_text(json.dumps({"classes": MAPPING["classes"]}))
+    elif case == "partial-dump":
+        rows = {ids[0]: rows[ids[0]]}
+    dump.write_text("".join(json.dumps({"example_id": i, "passes": p}) + "\n" for i, p in rows.items()))
+    out = tmp_path / "out"
+    flags = ["--dataset", str(data), "--dump", str(dump), "--passes", "10", "--policy", "filter"]
+    flags += ["--mapping", str(mapping), "--out", str(out)]
+    if command == "run":
+        flags += ["--sentinel", "external"]
+    capsys.readouterr()
+    assert main([command, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    if case == "partial-dump":
+        assert f"no distribution for 49 of 50 examples, first {ids[1]!r}" in err
+    assert not out.is_file() and not (out / "decisions.jsonl").exists()

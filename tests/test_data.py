@@ -1,3 +1,4 @@
+import ast
 import json
 import tempfile
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import labelaudit
 from labelaudit.data import (
     DataFormatError,
     Dataset,
@@ -19,6 +21,10 @@ from labelaudit.data import (
     save_distributions,
     validate_distribution,
 )
+from labelaudit.mlp import load_model
+from labelaudit.noisebench import load_noise_mask
+from labelaudit.policy import KEEP, Decision, load_decisions, save_decisions
+from labelaudit.sentinel import LabelSpaceMapping
 
 
 def _write(tmp_path, lines):
@@ -51,8 +57,9 @@ def test_duplicate_id_names_offender(tmp_path):
             '{"id": "x1", "label": 1, "features": [2.0]}',
         ],
     )
-    with pytest.raises(DataFormatError, match="x1"):
+    with pytest.raises(DataFormatError) as info:
         load_dataset(path)
+    assert str(info.value) == f"{path}: duplicate example id 'x1'"
 
 
 def test_label_out_of_range(tmp_path):
@@ -65,12 +72,19 @@ def test_label_out_of_range(tmp_path):
 
 
 def test_malformed_line_reports_line_number(tmp_path):
-    path = _write(
-        tmp_path,
-        ['{"class_count": 2}', '{"id": "a", "label": 0, "features": [1.0]}', "{not json"],
-    )
-    with pytest.raises(DataFormatError, match="line 3"):
-        load_dataset(path)
+    bad_lines = {
+        "{not json": "malformed JSON",
+        "[1, 2]": "expected a JSON object",
+        '{"label": 0, "features": [1.0]}': "missing field 'id'",
+        '{"id": "b", "label": "1", "features": [1.0]}': "label and gold_label must be integers",
+        '{"id": "b", "label": 1, "features": 2.0}': "not iterable",
+        '{"id": "b", "label": 1, "tokens": [{"text": "hi"}]}': "missing field 'pos'",
+    }
+    for line, message in bad_lines.items():
+        path = _write(tmp_path, ['{"class_count": 2}', '{"id": "a", "label": 0, "features": [1.0]}', line])
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        assert str(info.value).startswith(f"{path}: line 3: ") and message in str(info.value)
 
 
 def test_mixed_schemas_rejected(tmp_path):
@@ -288,3 +302,76 @@ def test_distribution_file_reports_bad_line(tmp_path):
     path.write_text('{"example_id": "a", "passes": [[0.5, 0.5]]}\nnot json\n')
     with pytest.raises(DataFormatError, match="line 2"):
         load_distributions(str(path))
+    path.write_text('{"example_id": "a", "passes": [[0.5, 0.5]]}\n\n{"example_id": "b"}\n')
+    with pytest.raises(DataFormatError, match="line 3: missing field 'passes'"):
+        load_distributions(str(path))
+
+
+@pytest.mark.parametrize(
+    "reader, name, text, message",
+    [
+        (LabelSpaceMapping.from_file, "mapping.json", '{"classes": ["a", "b"]}', "missing field 'roles'"),
+        (load_model, "model.json", '{"format": "labelaudit-model-v1"}', "missing field 'spec'"),
+        (
+            load_decisions,
+            "decisions.jsonl",
+            '{"example_id": "a", "verdict": "keep"}\n\n'
+            '{"example_id": "b", "verdict": "overwrite", "new_label": "1"}\n',
+            "line 3: new_label must be an integer",
+        ),
+        (load_decisions, "decisions.jsonl", "[1, 2]\n", "line 1: expected a JSON object"),
+        (load_noise_mask, "mask.json", '{"corrupted_ids": []}', "missing field 'original_label_of'"),
+    ],
+    ids=["mapping", "model", "decision-new-label", "decision-not-object", "noise-mask"],
+)
+def test_readers_locate_malformed_records(tmp_path, reader, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(DataFormatError) as info:
+        reader(str(path))
+    assert str(info.value) == f"{path}: {message}"
+
+
+def _interrupted(records):
+    yield from records
+    raise RuntimeError("interrupted")
+
+
+@pytest.mark.parametrize(
+    "save, records",
+    [
+        (save_decisions, [Decision(f"e{i}", KEEP) for i in range(2000)]),
+        (save_distributions, [PredictiveDistribution(f"e{i}", [[0.5, 0.5]] * 10) for i in range(2000)]),
+    ],
+    ids=["decisions", "distributions"],
+)
+def test_interrupted_write_keeps_previous_file(tmp_path, save, records):
+    path = tmp_path / "artifact.jsonl"
+    save(records[:3], str(path))
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="interrupted"):
+        save(_interrupted(records), str(path))  # raises after far more than a write buffer
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.jsonl"]
+    save(records, str(path))
+    assert len(path.read_text().splitlines()) == len(records)
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.jsonl"]
+
+
+def test_only_data_module_opens_files():
+    """File formats and the location rule live in data.py: no other module opens,
+    reads or writes a file itself (``json.loads``/``json.dumps`` of strings are fine)."""
+    offenders = []
+    for module in sorted(Path(labelaudit.__file__).parent.glob("*.py")):
+        if module.name == "data.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Name) and func.id == "open":
+                offenders.append(f"{module.name}:{node.lineno}: open")
+            elif isinstance(func, ast.Attribute) and (
+                func.attr in ("open", "read_text", "write_text")
+                or (func.attr in ("load", "dump") and getattr(func.value, "id", None) == "json")
+            ):
+                offenders.append(f"{module.name}:{node.lineno}: {func.attr}")
+    assert offenders == []

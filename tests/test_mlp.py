@@ -254,8 +254,9 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
 def test_checkpoint_rejects_unknown_format(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"format": "something-else"}')
-    with pytest.raises(ValueError, match="format"):
+    with pytest.raises(ValueError, match="format") as info:
         load_model(str(path))
+    assert str(info.value).startswith(f"{path}: unknown checkpoint format")
 
 
 def test_mix64_spreads_streams():

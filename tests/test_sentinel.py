@@ -95,8 +95,9 @@ def test_ingest_rejects_wrong_width(tmp_path, rng):
 def test_ingest_rejects_bad_probability_rows(tmp_path):
     path = tmp_path / "dump.jsonl"
     path.write_text('{"example_id": "a", "passes": [[0.5, 0.3]]}\n')
-    with pytest.raises(DataFormatError, match="sums"):
+    with pytest.raises(DataFormatError, match="sums") as info:
         ingest_external_dump(str(path), 1, 2)
+    assert str(info.value).startswith(f"{path}: distribution 'a': row 0")
 
 
 NLI_STYLE = LabelSpaceMapping(
