@@ -3,7 +3,8 @@
 Dropout follows the inverted convention: surviving hidden activations are scaled
 by 1/(1-p) at masking time, so plain inference needs no correction.  Stochastic
 multi-pass inference (``mcd_predict``) re-applies fresh masks per pass to an
-already trained model.
+already trained model: each pass still draws its masks from its own generator,
+seeded ``mix64(seed, t)``, and all T passes then run as one stacked forward.
 """
 from __future__ import annotations
 
@@ -76,6 +77,8 @@ class Model:
                 raise ValueError(
                     f"layer {layer}: shapes {w.shape}/{b.shape} do not chain {dims}"
                 )
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {layer}: non-finite weights")
             w.flags.writeable = False
             b.flags.writeable = False
             ws.append(w)
@@ -213,7 +216,10 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> Model:
             for layer in range(len(weights)):
                 weights[layer] -= lr * g_w[layer]
                 biases[layer] -= lr * g_b[layer]
-    return Model(spec, tuple(weights), tuple(biases))
+    try:
+        return Model(spec, tuple(weights), tuple(biases))
+    except ValueError as err:
+        raise ValueError(f"training diverged at learning_rate {lr}: {err}") from None
 
 
 def predict(model: Model, features) -> np.ndarray:
@@ -237,7 +243,9 @@ def mcd_predict(
 
     Pass ``t`` draws its masks from a generator seeded ``mix64(seed, t)``, one
     mask per hidden layer in order, so passes are reproducible and independently
-    recomputable.  With dropout_rate 0 every row equals ``predict``.
+    recomputable.  The T passes then run as one forward over a (T, 1, d) stack,
+    which rounds exactly as T separate 1-row forwards would.  With dropout_rate
+    0 every row equals ``predict``.
     """
     if t_count < 1:
         raise ValueError("t_count must be >= 1")
@@ -245,17 +253,19 @@ def mcd_predict(
     if x.shape != (model.spec.input_dim,):
         raise ValueError(f"features shape {x.shape} does not match input_dim {model.spec.input_dim}")
     p = model.spec.dropout_rate
-    keep = 1.0 - p
-    rows = np.empty((t_count, model.spec.class_count))
-    batch = x[None, :]
-    for t in range(t_count):
-        masks = None
-        if p > 0.0:
-            rng = generator(seed, t)
-            masks = [(rng.random(width) >= p) / keep for width in model.spec.hidden_dims]
-        logits = _forward(model.weights, model.biases, batch, masks)[2]
-        rows[t] = _softmax(logits)[0]
-    return PredictiveDistribution(example_id, rows)
+    widths = model.spec.hidden_dims
+    masks = None
+    if p > 0.0:
+        draws = np.empty((t_count, sum(widths)))
+        for t in range(t_count):
+            generator(seed, t).random(out=draws[t])
+        scaled = (draws >= p) / (1.0 - p)
+        masks = [m[:, None, :] for m in np.split(scaled, np.cumsum(widths)[:-1], axis=1)]
+    # a (T, 1, d) stack runs each pass's 1-row product inside one matmul call;
+    # a 2-D (T, d) batch would go through gemm and round differently
+    stack = np.broadcast_to(x, (t_count, 1, x.size))
+    logits = _forward(model.weights, model.biases, stack, masks)[2]
+    return PredictiveDistribution(example_id, _softmax(logits)[:, 0])
 
 
 def save_model(model: Model, path: str) -> None:

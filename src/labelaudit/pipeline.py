@@ -11,7 +11,10 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import numbers
 import time
+import types
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -87,6 +90,30 @@ def _stage(name: str):
         raise PipelineError(f"stage {name!r}: {err}") from err
 
 
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` fits a field annotation.  A tuple field also takes a
+    list and a float field an int, as a JSON document spells them; no number
+    field takes a bool."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_conforms(value, arg) for arg in args)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (tuple, list)) and all(_conforms(v, args[0]) for v in value)
+    if hint in (int, float):
+        number = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, number) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def _check_field_types(config) -> None:
+    """Raise naming the first field, by its document key, whose value does not fit its annotation."""
+    hints = typing.get_type_hints(type(config))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not _conforms(value, hints[f.name]):
+            raise TypeError(f"{_JSON_KEYS.get(f.name, f.name)} must be {f.type}, got {value!r}")
+
+
 class _Stream:
     """Seed streams for the pipeline stages (mixed with the root seed)."""
 
@@ -117,6 +144,7 @@ class BenchmarkConfig:
     transition: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         object.__setattr__(self, "centers", tuple(tuple(float(v) for v in c) for c in self.centers))
         if self.transition is not None:
             object.__setattr__(
@@ -156,9 +184,8 @@ class PipelineConfig:
     report_format: str = "json"
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.sweep is not None and not isinstance(self.sweep, dict):
-            raise ValueError("sweep must map threshold fields to lists of values")
         object.__setattr__(self, "sweep", {k: list(v) for k, v in self.sweep.items()} if self.sweep else None)
         if self.sentinel not in SENTINEL_SOURCES:
             raise ValueError(f"sentinel must be one of {SENTINEL_SOURCES}, got {self.sentinel!r}")
@@ -484,7 +511,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         raise ValueError("sweep requires a dev dataset with gold labels: a benchmark section or dev_dataset")
     started = time.perf_counter()
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     mask = None
     dev = None
@@ -528,7 +554,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         decisions = decide_all(
             config.policy, dists, working.labels_by_id(), thresholds, config.label_mapping()
         )
-        # decisions are the audit trail; persist them before anything is applied
+        # decisions are the audit trail; persist them before anything is applied.
+        # The output directory appears with this first write, so a run that
+        # fails earlier leaves nothing behind.
+        out_dir.mkdir(parents=True, exist_ok=True)
         save_decisions(decisions, str(out_dir / "decisions.jsonl"))
 
     with _stage("apply"):

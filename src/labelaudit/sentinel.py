@@ -4,6 +4,7 @@ from its class space onto evidence for/against the positive label."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,12 @@ class LabelSpaceMapping:
                 raise ValueError(f"unknown role {role!r}, expected one of {ROLES}")
         if SUPPORTS_POSITIVE not in self.roles or SUPPORTS_NEGATIVE not in self.roles:
             raise ValueError("mapping needs at least one supports_positive and one supports_negative class")
+
+    @cached_property
+    def _evidence_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column indices of the supports_positive and the supports_negative classes."""
+        roles = np.array(self.roles)
+        return np.flatnonzero(roles == SUPPORTS_POSITIVE), np.flatnonzero(roles == SUPPORTS_NEGATIVE)
 
     @classmethod
     def binary_target(cls) -> "LabelSpaceMapping":
@@ -146,7 +153,5 @@ def map_to_evidence(dist: PredictiveDistribution, mapping: LabelSpaceMapping) ->
         raise ValueError(
             f"distribution width {dist.class_count} does not match mapping with {len(mapping.roles)} classes"
         )
-    roles = np.array(mapping.roles)
-    pos = dist.passes[:, roles == SUPPORTS_POSITIVE].sum(axis=1)
-    neg = dist.passes[:, roles == SUPPORTS_NEGATIVE].sum(axis=1)
-    return np.column_stack([pos, neg])
+    pos, neg = mapping._evidence_columns
+    return np.column_stack([dist.passes[:, pos].sum(axis=1), dist.passes[:, neg].sum(axis=1)])

@@ -42,21 +42,23 @@ def summarize(dist, example_id: str | None = None) -> UncertaintySummary:
     """
     passes = _as_matrix(dist)
     t_count = passes.shape[0]
-    argmax = tuple(int(i) for i in passes.argmax(axis=1))
+    argmax = passes.argmax(axis=1)
     counts = np.bincount(argmax, minlength=passes.shape[1])
     modal = int(counts.argmax())
-    variation_ratio = 1.0 - counts[modal] / t_count
-    std = passes.std(axis=0)
+    # numpy's own mean/std arithmetic (sum, then divide by T), minus its per-call overhead
+    mean = passes.sum(axis=0) / t_count
+    dev = passes - mean
+    std = np.sqrt((dev * dev).sum(axis=0) / t_count)
     # a constant column has std exactly 0, not mean-roundoff dust
-    std[passes.max(axis=0) == passes.min(axis=0)] = 0.0
+    std[(passes == passes[0]).all(axis=0)] = 0.0
     if example_id is None:
         example_id = dist.example_id if isinstance(dist, PredictiveDistribution) else ""
     return UncertaintySummary(
-        mean=passes.mean(axis=0),
+        mean=mean,
         std=std,
-        variation_ratio=float(variation_ratio),
+        variation_ratio=1.0 - int(counts[modal]) / t_count,
         modal_class=modal,
-        per_pass_argmax=argmax,
+        per_pass_argmax=tuple(argmax.tolist()),
         example_id=example_id,
     )
 

@@ -326,6 +326,35 @@ def test_unknown_config_keys_exit_one(tmp_path, capsys, doc, key):
     assert not (tmp_path / "run").exists()
 
 
+def test_divergent_training_fails_before_writing(tmp_path, capsys):
+    data, ckpt = tmp_path / "data.jsonl", tmp_path / "m.json"
+    main(["make-data", "--out", str(data), "--n", "200", "--seed", "1"])
+    capsys.readouterr()
+    diverge = ["--learning-rate", "1e6", "--epochs", "20"]
+    assert main(["train", "--dataset", str(data), "--out", str(ckpt), *diverge]) == 1
+    assert "error: training diverged at learning_rate 1000000.0: " in capsys.readouterr().err
+    assert not ckpt.exists()
+
+    # a non-finite checkpoint written before this check existed is refused too
+    assert main(["train", "--dataset", str(data), "--out", str(ckpt), "--epochs", "1"]) == 0
+    doc = json.loads(ckpt.read_text())
+    doc["layers"][0]["weight"][0][0] = float("nan")
+    ckpt.write_text(json.dumps(doc))
+    dump = tmp_path / "dump.jsonl"
+    capsys.readouterr()
+    assert main(["mcd-infer", "--model", str(ckpt), "--dataset", str(data), "--out", str(dump)]) == 1
+    assert capsys.readouterr().err == f"error: {ckpt}: layer 0: non-finite weights\n"
+    assert not dump.exists()
+
+    cfg = tmp_path / "config.json"
+    out = tmp_path / "run"
+    bench = {"n": 200, "dev_size": 20, "test_size": 50}
+    cfg.write_text(json.dumps({"benchmark": bench, "learning_rate": 1e6, "epochs": 30, "out": str(out)}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: stage 'sentinel': training diverged at learning_rate")
+    assert not out.exists()
+
+
 def test_sweep_without_dev_source_exits_one(tmp_path):
     data = tmp_path / "data.jsonl"
     main(["make-data", "--out", str(data), "--n", "20", "--seed", "1"])
@@ -353,21 +382,37 @@ def test_cli_imports_no_private_names():
     [
         (["train", "--dataset", "{tmp}/empty.jsonl", "--out", "{tmp}/m"], "the dataset has no feature vectors"),
         (["build-sentinel", "--dataset", "{tmp}/empty.jsonl", "--out", "{tmp}/s"], "the dataset has no feature"),
-        (["run", "--config", "{tmp}/hidden_dims.json"], "config: "),
-        (["run", "--config", "{tmp}/centers.json"], "benchmark: "),
+        (["run", "--config", "{tmp}/hidden_dims.json"], "config: hidden_dims must be tuple[int, ...], got 64"),
+        (["run", "--config", "{tmp}/centers.json"], "benchmark: centers must be tuple[tuple[float, ...], ...], got 5"),
+        (["run", "--config", "{tmp}/n.json"], "benchmark: n must be int, got 'abc'"),
+        (["run", "--config", "{tmp}/epochs.json"], "config: epochs must be int, got '5'"),
     ],
-    ids=["train-header-only", "build-sentinel-header-only", "hidden-dims-not-a-list", "centers-not-a-list"],
+    ids=[
+        "train-header-only",
+        "build-sentinel-header-only",
+        "hidden-dims-not-a-list",
+        "centers-not-a-list",
+        "n-not-an-int",
+        "epochs-not-an-int",
+    ],
 )
 def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, argv, message):
     (tmp_path / "empty.jsonl").write_text('{"class_count": 2}\n')
-    out = str(tmp_path / "run")
-    (tmp_path / "hidden_dims.json").write_text(
-        json.dumps({"dataset": str(tmp_path / "empty.jsonl"), "hidden_dims": 64, "out": out})
-    )
-    (tmp_path / "centers.json").write_text(json.dumps({"benchmark": {"n": 20, "centers": 5}, "out": out}))
+    main(["make-data", "--out", str(tmp_path / "data.jsonl"), "--n", "20", "--seed", "1"])
+    out = tmp_path / "run"
+    docs = {
+        "hidden_dims": {"dataset": str(tmp_path / "empty.jsonl"), "hidden_dims": 64},
+        "centers": {"benchmark": {"n": 20, "centers": 5}},
+        "n": {"benchmark": {"n": "abc"}},
+        "epochs": {"dataset": str(tmp_path / "data.jsonl"), "epochs": "5"},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "out": str(out)}))
+    capsys.readouterr()
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 MAPPING = {
@@ -408,4 +453,4 @@ def test_malformed_input_content_exits_one(tmp_path, capsys, command, case):
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     if case == "partial-dump":
         assert f"no distribution for 49 of 50 examples, first {ids[1]!r}" in err
-    assert not out.is_file() and not (out / "decisions.jsonl").exists()
+    assert not out.exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from labelaudit import mlp
 from labelaudit.data import Dataset, LabeledExample
 from labelaudit.mlp import (
     Model,
@@ -16,7 +17,7 @@ from labelaudit.mlp import (
     train,
 )
 from labelaudit.noisebench import make_blobs
-from labelaudit.seeding import mix64
+from labelaudit.seeding import generator, mix64
 
 
 def test_init_shapes_chain():
@@ -172,6 +173,66 @@ def test_mcd_validates_arguments():
         mcd_predict(model, [1.0], 5, seed=0)
 
 
+def _mcd_reference(model, x, t_count, seed):
+    """One pass at a time: pass t draws one mask per hidden layer, in order, from
+    generator(seed, t), then runs a 1-row forward."""
+    p = model.spec.dropout_rate
+    rows = []
+    for t in range(t_count):
+        rng = generator(seed, t)
+        a = np.asarray(x, dtype=float)[None, :]
+        for w, b in zip(model.weights[:-1], model.biases[:-1]):
+            a = np.maximum(a @ w.T + b, 0.0)
+            if p > 0.0:
+                a = a * ((rng.random(w.shape[0]) >= p) / (1.0 - p))
+        z = a @ model.weights[-1].T + model.biases[-1]
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        rows.append((e / e.sum(axis=-1, keepdims=True))[0])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "spec, t_count",
+    [
+        (ModelSpec(2, (32, 32), 2, dropout_rate=0.1), 10),
+        (ModelSpec(16, (32, 32), 2, dropout_rate=0.1), 10),
+        (ModelSpec(3, (5, 5), 2, dropout_rate=0.0), 6),
+        (ModelSpec(4, (9,), 3, dropout_rate=0.5), 1),
+        (ModelSpec(5, (7, 3, 11), 4, dropout_rate=0.3), 12),
+    ],
+    ids=["stock", "scale", "no-dropout", "one-pass", "three-hidden"],
+)
+def test_mcd_predict_is_bit_identical_to_per_pass_loop(spec, t_count):
+    rng = np.random.default_rng(31)
+    model = init_model(spec, seed=8)
+    for i in range(25):
+        x = rng.normal(scale=3.0, size=spec.input_dim)
+        got = mcd_predict(model, x, t_count, seed=mix64(5, i)).passes
+        assert got.tobytes() == _mcd_reference(model, x, t_count, mix64(5, i)).tobytes()
+
+
+def test_mcd_predict_runs_one_forward_and_one_generator_per_pass(monkeypatch):
+    # a work count, not a timing: a per-pass forward loop fails this on any host
+    calls = {"_forward": 0, "generator": 0}
+
+    def counted(name):
+        original = getattr(mlp, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mlp, name, counted(name))
+    model = init_model(ModelSpec(2, (8, 8), 2, dropout_rate=0.1), seed=4)
+    for t_count in (1, 4, 10):
+        calls.update({"_forward": 0, "generator": 0})
+        mcd_predict(model, [0.5, -0.5], t_count, seed=3)
+        assert calls == {"_forward": 1, "generator": t_count}
+
+
 def _numeric_gradients(model, x, y, masks, h=1e-5):
     num_w, num_b = [], []
     for layer in range(len(model.weights)):
@@ -249,6 +310,14 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
         assert np.array_equal(wa, wb)
     for ba, bb in zip(model.biases, loaded.biases):
         assert np.array_equal(ba, bb)
+
+
+def test_model_rejects_non_finite_weights():
+    model = init_model(ModelSpec(2, (4,), 2), seed=0)
+    bad = model.biases[1].copy()
+    bad[0] = np.inf
+    with pytest.raises(ValueError, match="layer 1: non-finite weights"):
+        Model(model.spec, model.weights, (model.biases[0], bad))
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):

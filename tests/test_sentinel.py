@@ -131,6 +131,21 @@ def test_binary_target_mapping_swaps_columns():
     assert np.allclose(ev, [[0.7, 0.3]])  # (supports_positive, supports_negative)
 
 
+def test_map_to_evidence_equals_boolean_mask_sums(rng):
+    roles = ("supports_positive", "abstain", "supports_negative", "supports_positive", "supports_negative")
+    mapping = LabelSpaceMapping(tuple("abcde"), roles)
+    role_array = np.array(roles)
+    for t in (1, 7, 10):
+        dist = PredictiveDistribution("a", _rows(t, 5, rng))
+        expected = np.column_stack(
+            [
+                dist.passes[:, role_array == "supports_positive"].sum(axis=1),
+                dist.passes[:, role_array == "supports_negative"].sum(axis=1),
+            ]
+        )
+        assert map_to_evidence(dist, mapping).tobytes() == expected.tobytes()
+
+
 def test_map_to_evidence_width_mismatch():
     with pytest.raises(ValueError):
         map_to_evidence(PredictiveDistribution("a", [[0.5, 0.5]]), NLI_STYLE)

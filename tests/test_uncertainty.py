@@ -60,6 +60,31 @@ def test_mean_matches_loop_oracle_on_random_distributions(rng):
             assert abs(s.mean[cls] - total / t) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["distribution", "constant-column", "evidence"])
+def test_summarize_is_bit_identical_to_numpy_mean_and_std(rng, kind):
+    for _ in range(300):
+        t_count, width = int(rng.integers(1, 25)), int(rng.integers(2, 6))
+        passes = rng.random((t_count, width))
+        if kind == "distribution":
+            passes /= passes.sum(axis=1, keepdims=True)
+        elif kind == "constant-column":
+            passes = np.round(passes, 1)
+            passes[:, rng.integers(width)] = rng.random()
+        else:
+            passes = passes[:, :2] * rng.random((t_count, 1)) / 2  # bare evidence: rows sum below 1
+        s = summarize(_dist(passes) if kind == "distribution" else passes)
+        std = passes.std(axis=0)
+        std[passes.max(axis=0) == passes.min(axis=0)] = 0.0
+        assert s.mean.tobytes() == passes.mean(axis=0).tobytes()
+        assert s.std.tobytes() == std.tobytes()
+        argmax = tuple(int(i) for i in passes.argmax(axis=1))
+        assert s.per_pass_argmax == argmax and all(type(i) is int for i in s.per_pass_argmax)
+        modal = int(np.bincount(argmax, minlength=passes.shape[1]).argmax())
+        assert type(s.modal_class) is int and s.modal_class == modal
+        assert type(s.variation_ratio) is float
+        assert s.variation_ratio == 1.0 - argmax.count(modal) / t_count
+
+
 def test_variation_ratio_bounds(rng):
     for _ in range(200):
         t = int(rng.integers(1, 15))
