@@ -10,6 +10,7 @@ from .data import (
     DataFormatError,
     Dataset,
     LabeledExample,
+    PassStack,
     PredictiveDistribution,
     TaggedToken,
     load_dataset,

@@ -12,7 +12,18 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .data import load_dataset, read_json, save_dataset, save_distributions, write_json, write_jsonl
+import numpy as np
+
+from .data import (
+    PassStack,
+    load_dataset,
+    read_json,
+    save_dataset,
+    save_distributions,
+    validate_distribution,
+    write_json,
+    write_jsonl,
+)
 from .mlp import init_model, load_model, mcd_predict, save_model, train
 from .noisebench import NoiseSpec, inject_noise, make_blobs, save_noise_mask
 from .pipeline import (
@@ -218,10 +229,11 @@ def _cmd_mcd_infer(args) -> int:
     config = config_from_dict(_config_doc(args))
     model = load_model(args.model)
     dataset = load_dataset(config.dataset, expected_schema="features")
-    dists = [
-        mcd_predict(model, ex.features, config.passes, mix64(config.seed, 1 + j), example_id=ex.id)
-        for j, ex in enumerate(dataset.examples)
-    ]
+    passes = np.empty((len(dataset), config.passes, model.spec.class_count))
+    for j, ex in enumerate(dataset.examples):
+        passes[j] = mcd_predict(model, ex.features, config.passes, mix64(config.seed, 1 + j)).passes
+    dists = PassStack(tuple(ex.id for ex in dataset.examples), passes)
+    validate_distribution(dists)  # an overflowing model writes no dump
     save_distributions(dists, out)
     print(f"wrote {len(dists)} distributions ({config.passes} passes each) to {out}")
     return 0

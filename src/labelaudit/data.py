@@ -3,7 +3,8 @@ goes through ``read_json``/``read_jsonl`` and the atomic ``write_lines``.
 
 A dataset file is one JSON header line ``{"class_count": C, "class_names": [...]}``
 followed by one record per example.  A distribution file holds one
-``{"example_id": ..., "passes": [[...], ...]}`` record per line.  Writers sort
+``{"example_id": ..., "passes": [[...], ...]}`` record per line, all of one
+T x C shape, and loads as one ``PassStack``.  Writers sort
 keys and end every file with a newline.  All types are immutable after
 construction and safe to share across threads.
 """
@@ -22,6 +23,7 @@ POS_TAGS = ("noun", "propn", "verb", "other")
 FEATURES = "features"
 TOKENS = "tokens"
 PROB_TOL = 1e-6
+_BLOCK_BYTES = 1 << 20  # size of the blocks a distribution dump is loaded into
 
 
 class DataFormatError(ValueError):
@@ -174,23 +176,68 @@ class PredictiveDistribution:
         return self.passes.shape[1]
 
 
-def validate_distribution(dist: PredictiveDistribution) -> None:
+@dataclass(frozen=True, eq=False)
+class PassStack:
+    """The stochastic passes of n examples: ``ids`` plus a read-only (n, T, C)
+    array whose row i holds the T class-probability rows of ``ids[i]``.
+
+    Indexing and iteration yield the rows as ``PredictiveDistribution``s.  An
+    empty stack may carry any (0, T, C) shape.  A float array is taken over,
+    not copied, and made read-only: its owner can no longer write to it.
+    """
+
+    ids: tuple[str, ...]
+    passes: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ids", tuple(self.ids))
+        arr = np.asarray(self.passes, dtype=float)
+        if arr.ndim != 3 or arr.shape[0] != len(self.ids):
+            raise DataFormatError(f"passes for {len(self.ids)} ids must be an (n, T, C) array, got shape {arr.shape}")
+        if self.ids and (arr.shape[1] < 1 or arr.shape[2] < 2):
+            raise DataFormatError(f"need T >= 1 and C >= 2, got shape {arr.shape}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "passes", arr)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> PredictiveDistribution:
+        return PredictiveDistribution(self.ids[i], self.passes[i])
+
+    def __iter__(self) -> Iterator[PredictiveDistribution]:
+        return map(PredictiveDistribution, self.ids, self.passes)
+
+    @property
+    def t_count(self) -> int:
+        return self.passes.shape[1]
+
+    @property
+    def class_count(self) -> int:
+        return self.passes.shape[2]
+
+
+def validate_distribution(dists: PassStack | PredictiveDistribution) -> None:
     """Raise unless every row is a probability vector (sum 1 within PROB_TOL).
 
-    Reports the first offending row index, so malformed external dumps are easy
-    to locate.  Both checks are phrased so that a NaN fails them.
+    Checks a whole stack in one call and reports the first offending record
+    and row, so malformed external dumps are easy to locate.  Both checks are
+    phrased so that a NaN fails them.
     """
-    p = dist.passes
-    in_range = ((p >= 0.0) & (p <= 1.0)).all(axis=1)
-    totals = p.sum(axis=1)
-    bad = np.flatnonzero(~(in_range & (np.abs(totals - 1.0) <= PROB_TOL)))
+    if isinstance(dists, PassStack):
+        ids, p = dists.ids, dists.passes
+    else:
+        ids, p = (dists.example_id,), dists.passes[None]
+    in_range = ((p >= 0.0) & (p <= 1.0)).all(axis=2)
+    totals = p.sum(axis=2)
+    bad = np.argwhere(~(in_range & (np.abs(totals - 1.0) <= PROB_TOL)))
     if bad.size == 0:
         return
-    i = bad[0]
-    if not in_range[i]:
-        raise DataFormatError(f"distribution {dist.example_id!r}: row {i} has entries outside [0, 1]")
+    i, row = bad[0]
+    if not in_range[i, row]:
+        raise DataFormatError(f"distribution {ids[i]!r}: row {row} has entries outside [0, 1]")
     raise DataFormatError(
-        f"distribution {dist.example_id!r}: row {i} sums to {float(totals[i])}, expected 1 within {PROB_TOL}"
+        f"distribution {ids[i]!r}: row {row} sums to {float(totals[i, row])}, expected 1 within {PROB_TOL}"
     )
 
 
@@ -254,12 +301,18 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
         raise
 
 
+# ``json.dumps(doc, sort_keys=True)`` builds this same encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_json(path: str, doc: dict, indent: int | None = None) -> None:
-    write_lines(path, (json.dumps(doc, indent=indent, sort_keys=True), "\n"))
+    encoder = _ENCODER if indent is None else json.JSONEncoder(sort_keys=True, indent=indent)
+    write_lines(path, (encoder.encode(doc), "\n"))
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> None:
-    write_lines(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+    encode = _ENCODER.encode
+    write_lines(path, (encode(rec) + "\n" for rec in records))
 
 
 def _dataset_header(rec: dict) -> tuple[int, tuple[str, ...] | None]:
@@ -331,9 +384,39 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     write_jsonl(path, itertools.chain((header,), map(_example_record, dataset.examples)))
 
 
-def load_distributions(path: str) -> list[PredictiveDistribution]:
-    """Read a line-delimited distribution dump (no header line)."""
-    return list(read_jsonl(path, lambda rec: PredictiveDistribution(rec["example_id"], rec["passes"])))
+def load_distributions(path: str) -> PassStack:
+    """Stream a line-delimited distribution dump (no header line) into a stack.
+
+    The first record fixes (T, C); a record of another shape fails naming its
+    id and line.  Records are copied into fixed-size blocks as they are read,
+    so no per-record object outlives its line.
+    """
+    ids: list[str] = []
+    blocks: list[np.ndarray] = []
+    filled = 0  # rows written to the last block
+
+    def build(rec: dict) -> None:
+        nonlocal filled
+        exid, passes = rec["example_id"], np.array(rec["passes"], dtype=float)
+        if not blocks:
+            PredictiveDistribution(exid, passes)  # the first record's shape must be a valid T x C
+        elif passes.shape != blocks[0].shape[1:]:
+            raise DataFormatError(
+                f"distribution {exid!r}: passes have shape {passes.shape}, the first record's {blocks[0].shape[1:]}"
+            )
+        if not blocks or filled == len(blocks[-1]):
+            blocks.append(np.empty((max(1, _BLOCK_BYTES // passes.nbytes), *passes.shape)))
+            filled = 0
+        blocks[-1][filled] = passes
+        filled += 1
+        ids.append(exid)
+
+    for _ in read_jsonl(path, build):
+        pass
+    if not blocks:
+        return PassStack((), np.empty((0, 0, 0)))
+    blocks[-1] = blocks[-1][:filled]
+    return PassStack(tuple(ids), np.concatenate(blocks))
 
 
 def save_distributions(dists: Iterable[PredictiveDistribution], path: str) -> None:

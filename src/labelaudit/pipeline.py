@@ -26,6 +26,7 @@ from .data import (
     RECORD_ERRORS,
     DataFormatError,
     Dataset,
+    PassStack,
     feature_matrix,
     label_vector,
     load_dataset,
@@ -91,27 +92,37 @@ def _stage(name: str):
 
 
 def _conforms(value, hint) -> bool:
-    """Whether ``value`` fits a field annotation.  A tuple field also takes a
-    list and a float field an int, as a JSON document spells them; no number
-    field takes a bool."""
+    """Whether ``value`` fits a field annotation.  A tuple or frozenset field
+    also takes a list and a float field an int, as a JSON document spells
+    them; no number field takes a bool."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         return any(_conforms(value, arg) for arg in args)
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, (tuple, list)) and all(_conforms(v, args[0]) for v in value)
+    if typing.get_origin(hint) in (tuple, frozenset):
+        return isinstance(value, (typing.get_origin(hint), list)) and all(_conforms(v, args[0]) for v in value)
     if hint in (int, float):
         number = numbers.Integral if hint is int else numbers.Real
         return isinstance(value, number) and not isinstance(value, bool)
     return isinstance(value, hint)
 
 
-def _check_field_types(config) -> None:
-    """Raise naming the first field, by its document key, whose value does not fit its annotation."""
-    hints = typing.get_type_hints(type(config))
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if not _conforms(value, hints[f.name]):
-            raise TypeError(f"{_JSON_KEYS.get(f.name, f.name)} must be {f.type}, got {value!r}")
+def _check_types(cls, values: dict, key, listed: bool = False) -> None:
+    """Raise naming, by its document key ``key(name)``, the first value that does
+    not fit the annotation of the ``cls`` field it sets; ``listed`` values are
+    lists of such values, as a sweep grid holds them."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in values:
+            continue
+        value, hint, spelled = values[f.name], hints[f.name], f.type
+        if listed:
+            hint, spelled = tuple[hint, ...], f"a list of {spelled}"
+        if not _conforms(value, hint):
+            raise TypeError(f"{key(f.name)} must be {spelled}, got {value!r}")
+
+
+def _document_key(name: str) -> str:
+    return _JSON_KEYS.get(name, name)
 
 
 class _Stream:
@@ -144,7 +155,7 @@ class BenchmarkConfig:
     transition: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        _check_types(BenchmarkConfig, vars(self), _document_key)
         object.__setattr__(self, "centers", tuple(tuple(float(v) for v in c) for c in self.centers))
         if self.transition is not None:
             object.__setattr__(
@@ -184,13 +195,17 @@ class PipelineConfig:
     report_format: str = "json"
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        _check_types(PipelineConfig, vars(self), _document_key)
+        if self.policy not in THRESHOLDS:
+            raise ValueError(f"policy must be one of {tuple(THRESHOLDS)}, got {self.policy!r}")
+        if self.sweep:
+            _check_types(THRESHOLDS[self.policy], self.sweep, lambda name: f"sweep.{name}", listed=True)
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         object.__setattr__(self, "sweep", {k: list(v) for k, v in self.sweep.items()} if self.sweep else None)
         if self.sentinel not in SENTINEL_SOURCES:
             raise ValueError(f"sentinel must be one of {SENTINEL_SOURCES}, got {self.sentinel!r}")
-        if self.policy not in THRESHOLDS:
-            raise ValueError(f"policy must be one of {tuple(THRESHOLDS)}, got {self.policy!r}")
+        if self.passes < 1:
+            raise ValueError(f"passes must be >= 1, got {self.passes}")
         if self.sentinel == "external" and self.dump is None:
             raise ValueError("external sentinel needs a dump path")
         if self.sentinel == "cv" and self.dump is not None:
@@ -311,6 +326,9 @@ def config_from_dict(doc: dict) -> PipelineConfig:
                 raise ValueError(f"unknown threshold sections {sorted(unknown)}")
             if section and policy not in section:
                 raise ValueError(f"thresholds section {sorted(section)} does not match policy {policy!r}")
+            if section:
+                values = _json_object(section[policy], f"thresholds.{policy}")
+                _check_types(THRESHOLDS[policy], values, lambda name: f"thresholds.{policy}.{name}")
             kwargs["thresholds"] = thresholds_from_section(policy, section[policy]) if section else None
         if kwargs.get("benchmark") is not None:
             where = "benchmark"
@@ -370,30 +388,29 @@ class PipelineResult:
     sweep_table: list | None = None
 
 
-def decide_all(policy: str, dists, labels: dict[str, int], thresholds, mapping: LabelSpaceMapping | None):
-    """One decision per distribution; ``mapping`` turns a sentinel's classes into
+def decide_all(policy: str, dists: PassStack, labels: dict[str, int], thresholds, mapping: LabelSpaceMapping | None):
+    """One decision per row of the stack; ``mapping`` turns a sentinel's classes into
     evidence for the filter policy (``None``: a binary sentinel in the target's space)."""
+    if not dists.ids:
+        return []
+    rows = dists.passes
+    if policy == "filter":
+        if mapping is None:
+            if dists.class_count != 2:
+                raise ValueError("filter policy needs a label-space mapping for a non-binary sentinel")
+            mapping = LabelSpaceMapping.binary_target()
+        rows = map_to_evidence(dists, mapping)
     decisions = []
-    for dist in dists:
-        label = labels.get(dist.example_id)
+    for i, example_id in enumerate(dists.ids):
+        label = labels.get(example_id)
         if label is None:
-            raise ValueError(f"distribution for unknown example {dist.example_id!r}")
+            raise ValueError(f"distribution for unknown example {example_id!r}")
         if policy == "overwrite":
-            decisions.append(decide_overwrite(summarize(dist), label, thresholds))
+            decisions.append(decide_overwrite(summarize(rows[i], example_id=example_id), label, thresholds))
         elif policy == "filter":
-            m = mapping
-            if m is None:
-                if dist.class_count != 2:
-                    raise ValueError(
-                        "filter policy needs a label-space mapping for a non-binary sentinel"
-                    )
-                m = LabelSpaceMapping.binary_target()
-            evidence = map_to_evidence(dist, m)
-            decisions.append(
-                decide_filter(summarize(evidence, example_id=dist.example_id), label, thresholds)
-            )
+            decisions.append(decide_filter(summarize(rows[i], example_id=example_id), label, thresholds))
         else:
-            decisions.append(decide_quantile(dist, label, thresholds))
+            decisions.append(decide_quantile(dists[i], label, thresholds))
     return decisions
 
 
@@ -402,7 +419,7 @@ def sentinel_distributions(config: PipelineConfig, dataset: Dataset, dev: bool =
 
     ``dev`` marks the dev split: it draws the CV sentinel from its own seed
     stream and reads ``dev_dump`` in place of ``dump``.  Returns
-    (distributions, FoldAssignment or None).
+    (PassStack, FoldAssignment or None).
     """
     if config.sentinel == "cv":
         return build_cv_sentinel(
@@ -419,7 +436,7 @@ def sentinel_distributions(config: PipelineConfig, dataset: Dataset, dev: bool =
     mapping = config.label_mapping()
     width = len(mapping.roles) if mapping is not None else dataset.class_count
     dists = ingest_external_dump(dump, config.passes, width)
-    covered = {d.example_id for d in dists}
+    covered = set(dists.ids)
     missing = [ex.id for ex in dataset.examples if ex.id not in covered]
     if missing:
         raise DataFormatError(

@@ -11,6 +11,7 @@ import numpy as np
 from .data import (
     DataFormatError,
     Dataset,
+    PassStack,
     PredictiveDistribution,
     load_distributions,
     located,
@@ -84,20 +85,23 @@ def build_cv_sentinel(
     ``mix64(train_config.seed, fold)``) and runs ``t_count`` stochastic passes on
     the held-out examples (example at original position j seeded
     ``mix64(seed, 1 + j)``).  No model ever sees the label of an example it
-    predicts.
+    predicts.  Each example's passes fill its row of one stack, which is then
+    validated in one call: a model whose output overflows fails here.
 
-    Returns (distributions in dataset order, FoldAssignment).
+    Returns (PassStack in dataset order, FoldAssignment).
     """
     n = len(dataset.examples)
     if k < 2:
         raise ValueError("fold count k must be >= 2")
     if n < k:
         raise ValueError(f"fold count {k} exceeds dataset size {n}")
+    if t_count < 1:
+        raise ValueError("t_count must be >= 1")
     order = generator(seed, 0).permutation(n)
     fold = np.empty(n, dtype=int)
     for shuffled_pos, original in enumerate(order):
         fold[original] = shuffled_pos % k
-    dists: list[PredictiveDistribution | None] = [None] * n
+    passes = np.empty((n, t_count, model_spec.class_count))
     for f in range(k):
         train_subset = Dataset(
             dataset.class_count,
@@ -111,47 +115,55 @@ def build_cv_sentinel(
             if fold[j] != f:
                 continue
             ex = dataset.examples[j]
-            dists[j] = mcd_predict(
+            passes[j] = mcd_predict(
                 fitted, ex.features, t_count, mix64(seed, 1 + j), example_id=ex.id
-            )
+            ).passes
+    stack = PassStack(tuple(ex.id for ex in dataset.examples), passes)
+    try:
+        validate_distribution(stack)
+    except DataFormatError as err:  # the model's fault, not the input's
+        raise ValueError(f"sentinel output is not a probability distribution: {err}") from None
     assignment = FoldAssignment(
         {ex.id: int(fold[j]) for j, ex in enumerate(dataset.examples)}, k
     )
-    return list(dists), assignment
+    return stack, assignment
 
 
-def ingest_external_dump(path: str, expected_t: int, expected_c: int) -> list[PredictiveDistribution]:
+def ingest_external_dump(path: str, expected_t: int, expected_c: int) -> PassStack:
     """Load and validate an external stochastic prediction dump.
 
     Every record must carry exactly ``expected_t`` rows of width ``expected_c``;
-    mismatches name the file and the offending record.
+    the loader holds all records to the first one's shape, so a mismatch names
+    the first record.  Errors name the file.
     """
-    dists = load_distributions(path)
+    stack = load_distributions(path)
     try:
-        for d in dists:
-            if d.t_count != expected_t:
-                raise DataFormatError(
-                    f"dump record {d.example_id!r}: expected {expected_t} passes, found {d.t_count}"
-                )
-            if d.class_count != expected_c:
-                raise DataFormatError(
-                    f"dump record {d.example_id!r}: expected {expected_c} classes, found {d.class_count}"
-                )
-            validate_distribution(d)
+        if stack.ids and stack.t_count != expected_t:
+            raise DataFormatError(
+                f"dump record {stack.ids[0]!r}: expected {expected_t} passes, found {stack.t_count}"
+            )
+        if stack.ids and stack.class_count != expected_c:
+            raise DataFormatError(
+                f"dump record {stack.ids[0]!r}: expected {expected_c} classes, found {stack.class_count}"
+            )
+        validate_distribution(stack)
     except DataFormatError as err:
         raise located(path, err) from None
-    return dists
+    return stack
 
 
-def map_to_evidence(dist: PredictiveDistribution, mapping: LabelSpaceMapping) -> np.ndarray:
-    """Per-pass (supports_positive, supports_negative) mass as a (T, 2) matrix.
+def map_to_evidence(dists: PassStack | PredictiveDistribution, mapping: LabelSpaceMapping) -> np.ndarray:
+    """Per-pass (supports_positive, supports_negative) mass: an (n, T, 2) array
+    for a stack, a (T, 2) matrix for one distribution.
 
     Abstain mass is dropped without renormalizing: thresholds are calibrated on
     raw evidence mass, and renormalization would silently change their meaning.
     """
-    if dist.class_count != len(mapping.roles):
+    if dists.class_count != len(mapping.roles):
         raise ValueError(
-            f"distribution width {dist.class_count} does not match mapping with {len(mapping.roles)} classes"
+            f"distribution width {dists.class_count} does not match mapping with {len(mapping.roles)} classes"
         )
-    pos, neg = mapping._evidence_columns
-    return np.column_stack([dist.passes[:, pos].sum(axis=1), dist.passes[:, neg].sum(axis=1)])
+    evidence = np.empty((*dists.passes.shape[:-1], 2))
+    for channel, columns in enumerate(mapping._evidence_columns):
+        dists.passes[..., columns].sum(axis=-1, out=evidence[..., channel])
+    return evidence

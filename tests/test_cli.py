@@ -355,6 +355,33 @@ def test_divergent_training_fails_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowing_model_output_fails_before_writing(tmp_path, capsys):
+    data, ckpt = tmp_path / "data.jsonl", tmp_path / "m.json"
+    main(["make-data", "--out", str(data), "--n", "50", "--seed", "1"])
+    assert main(["train", "--dataset", str(data), "--out", str(ckpt), "--epochs", "1"]) == 0
+    doc = json.loads(ckpt.read_text())
+    for layer in doc["layers"]:  # finite weights whose forward pass overflows
+        layer["weight"] = [[w * 1e300 for w in row] for row in layer["weight"]]
+    ckpt.write_text(json.dumps(doc))
+    dump = tmp_path / "dump.jsonl"
+    capsys.readouterr()
+    assert main(["mcd-infer", "--model", str(ckpt), "--dataset", str(data), "--out", str(dump)]) == 1
+    assert capsys.readouterr().err == "error: distribution 'ex00000': row 0 has entries outside [0, 1]\n"
+    assert not dump.exists()
+
+    # one full-batch step at this rate leaves finite weights near 1e200
+    cfg, out = tmp_path / "config.json", tmp_path / "run"
+    bench = {"n": 200, "dev_size": 20, "test_size": 50}
+    doc = {"benchmark": bench, "learning_rate": 1e200, "epochs": 1, "batch_size": 1000, "out": str(out)}
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: stage 'sentinel': sentinel output is not a probability distribution: distribution "
+    )
+    assert not out.exists()
+
+
 def test_sweep_without_dev_source_exits_one(tmp_path):
     data = tmp_path / "data.jsonl"
     main(["make-data", "--out", str(data), "--n", "20", "--seed", "1"])
@@ -386,6 +413,9 @@ def test_cli_imports_no_private_names():
         (["run", "--config", "{tmp}/centers.json"], "benchmark: centers must be tuple[tuple[float, ...], ...], got 5"),
         (["run", "--config", "{tmp}/n.json"], "benchmark: n must be int, got 'abc'"),
         (["run", "--config", "{tmp}/epochs.json"], "config: epochs must be int, got '5'"),
+        (["run", "--config", "{tmp}/threshold.json"], "config: thresholds.overwrite.t1 must be float, got 'x'"),
+        (["run", "--config", "{tmp}/sweep.json"], "config: sweep.t1 must be a list of float, got 5"),
+        (["run", "--config", "{tmp}/passes.json"], "config: passes must be >= 1, got -1"),
     ],
     ids=[
         "train-header-only",
@@ -394,6 +424,9 @@ def test_cli_imports_no_private_names():
         "centers-not-a-list",
         "n-not-an-int",
         "epochs-not-an-int",
+        "threshold-not-a-float",
+        "sweep-value-not-a-list",
+        "passes-below-one",
     ],
 )
 def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, argv, message):
@@ -405,6 +438,9 @@ def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, 
         "centers": {"benchmark": {"n": 20, "centers": 5}},
         "n": {"benchmark": {"n": "abc"}},
         "epochs": {"dataset": str(tmp_path / "data.jsonl"), "epochs": "5"},
+        "threshold": {"dataset": str(tmp_path / "data.jsonl"), "thresholds": {"overwrite": {"t1": "x"}}},
+        "sweep": {"dataset": str(tmp_path / "data.jsonl"), "sweep": {"t1": 5}},
+        "passes": {"dataset": str(tmp_path / "data.jsonl"), "passes": -1},
     }
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "out": str(out)}))

@@ -12,7 +12,9 @@ import labelaudit
 from labelaudit.data import (
     DataFormatError,
     Dataset,
+    PROB_TOL,
     LabeledExample,
+    PassStack,
     PredictiveDistribution,
     TaggedToken,
     load_dataset,
@@ -258,6 +260,90 @@ def test_validate_distribution_rejects_non_finite_rows(row):
     dist = PredictiveDistribution("a", [[0.5, 0.5], row])
     with pytest.raises(DataFormatError, match="row 1"):
         validate_distribution(dist)
+
+
+def _first_bad_row(stack: PassStack) -> str | None:
+    """The message of the first bad (record, row), found one row at a time."""
+    for i, exid in enumerate(stack.ids):
+        for t, row in enumerate(stack.passes[i]):
+            if not all(0.0 <= v <= 1.0 for v in row):
+                return f"distribution {exid!r}: row {t} has entries outside [0, 1]"
+            total = row.sum()
+            if not abs(total - 1.0) <= PROB_TOL:
+                return f"distribution {exid!r}: row {t} sums to {float(total)}, expected 1 within {PROB_TOL}"
+    return None
+
+
+def _validation_message(dists) -> str | None:
+    try:
+        validate_distribution(dists)
+    except DataFormatError as err:
+        return str(err)
+    return None
+
+
+def test_stack_validation_names_the_first_bad_row_of_a_per_record_loop(rng):
+    n, t, c = 40, 6, 3
+    corruptions = (np.nan, -0.25, 1.5, "sum")
+    found = 0
+    for _ in range(200):
+        passes = rng.dirichlet((1.0,) * c, size=(n, t))
+        for _ in range(rng.integers(0, 4)):
+            i, row, col = rng.integers(n), rng.integers(t), rng.integers(c)
+            kind = corruptions[rng.integers(len(corruptions))]
+            if kind == "sum":
+                passes[i, row] *= 1.0 + 10 * PROB_TOL * rng.choice((-1, 1))
+            else:
+                passes[i, row, col] = kind
+        stack = PassStack([f"e{i}" for i in range(n)], passes)
+        expected = _first_bad_row(stack)
+        per_record = next(filter(None, map(_validation_message, stack)), None)
+        assert _validation_message(stack) == per_record == expected
+        found += expected is not None
+    assert found > 100  # most dumps carry a bad row
+
+
+def test_pass_stack_rows_are_read_only_distributions():
+    passes = [[[0.25, 0.75], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]]
+    stack = PassStack(["a", "b"], passes)
+    assert (len(stack), stack.t_count, stack.class_count) == (2, 2, 2)
+    assert [d.example_id for d in stack] == ["a", "b"]
+    assert stack[1].example_id == "b" and stack[1].passes.tolist() == passes[1]
+    with pytest.raises(ValueError):
+        stack.passes[0, 0, 0] = 0.1
+    assert len(PassStack((), np.empty((0, 0, 0)))) == 0
+    with pytest.raises(DataFormatError, match="for 1 ids"):
+        PassStack(["a"], passes)
+    with pytest.raises(DataFormatError, match="C >= 2"):
+        PassStack(["a"], [[[1.0]]])
+
+
+@pytest.mark.parametrize("count", [1, 3, 7])
+def test_distribution_file_loads_across_blocks(tmp_path, monkeypatch, rng, count):
+    monkeypatch.setattr("labelaudit.data._BLOCK_BYTES", 100)  # 3 records of 2 x 2 per block
+    raw = rng.random((count, 2, 2)) + 1e-9
+    dists = [PredictiveDistribution(f"e{i}", r / r.sum(axis=1, keepdims=True)) for i, r in enumerate(raw)]
+    path = tmp_path / "dists.jsonl"
+    save_distributions(dists, str(path))
+    stack = load_distributions(str(path))
+    assert stack.ids == tuple(d.example_id for d in dists)
+    assert stack.passes.tobytes() == np.stack([d.passes for d in dists]).tobytes()
+
+
+def test_distribution_file_rejects_a_record_of_another_shape(tmp_path):
+    path = tmp_path / "dists.jsonl"
+    path.write_text(
+        '{"example_id": "a", "passes": [[0.5, 0.5], [0.5, 0.5]]}\n\n'
+        '{"example_id": "b", "passes": [[0.5, 0.5]]}\n'
+    )
+    with pytest.raises(DataFormatError) as info:
+        load_distributions(str(path))
+    assert str(info.value) == f"{path}: line 3: distribution 'b': passes have shape (1, 2), the first record's (2, 2)"
+    path.write_text('{"example_id": "a", "passes": [0.5, 0.5]}\n')
+    with pytest.raises(DataFormatError, match="line 1: distribution 'a': passes must be a T x C matrix"):
+        load_distributions(str(path))
+    path.write_text("")
+    assert len(load_distributions(str(path))) == 0
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelaudit.data import PredictiveDistribution, save_distributions, load_dataset, load_distributions
+from labelaudit import pipeline, sentinel
+from labelaudit.data import PassStack, PredictiveDistribution, save_distributions, load_dataset, load_distributions
 from labelaudit.noisebench import make_blobs, inject_noise, NoiseSpec
 from labelaudit.pipeline import (
     BenchmarkConfig,
@@ -13,6 +14,7 @@ from labelaudit.pipeline import (
     PipelineError,
     config_from_dict,
     config_to_dict,
+    decide_all,
     default_benchmark_config,
     emit_report,
     run_pipeline,
@@ -212,6 +214,60 @@ def test_external_sentinel_pipeline(tmp_path, rng):
     assert len(result.decisions) == 20
     assert result.fold_assignment is None
     assert result.report["detection"] is None  # no mask outside benchmark mode
+
+
+def _counted(monkeypatch, owner, name: str) -> list:
+    """Positional arguments of every call to ``owner.name`` from here on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 37])
+def test_external_run_validates_and_maps_once_and_summarizes_each_row(tmp_path, rng, monkeypatch, n):
+    from labelaudit.data import save_dataset
+
+    ds = make_blobs(n, 2, 2, [(-2, 0), (2, 0)], 1.0, 3)
+    save_dataset(ds, str(tmp_path / "data.jsonl"))
+    raw = rng.random((n, 5, 3)) + 1e-9
+    save_distributions(
+        (PredictiveDistribution(ex.id, r / r.sum(axis=1, keepdims=True)) for ex, r in zip(ds.examples, raw)),
+        str(tmp_path / "dump.jsonl"),
+    )
+    (tmp_path / "mapping.json").write_text(
+        json.dumps({"classes": ["e", "n", "c"], "roles": ["supports_positive", "abstain", "supports_negative"]})
+    )
+    validate = _counted(monkeypatch, sentinel, "validate_distribution")
+    evidence = _counted(monkeypatch, pipeline, "map_to_evidence")
+    summarize = _counted(monkeypatch, pipeline, "summarize")
+    config = PipelineConfig(
+        out_dir=str(tmp_path / "out"),
+        dataset=str(tmp_path / "data.jsonl"),
+        sentinel="external",
+        dump=str(tmp_path / "dump.jsonl"),
+        mapping=str(tmp_path / "mapping.json"),
+        passes=5,
+        policy="filter",
+    )
+    result = run_pipeline(config)
+    assert len(result.decisions) == n
+    assert (len(validate), len(evidence), len(summarize)) == (1, 1, n)
+    assert isinstance(validate[0][0], PassStack) and len(validate[0][0]) == n
+
+
+def test_decide_all_resolves_the_binary_mapping_once(monkeypatch, rng):
+    builds = _counted(monkeypatch, sentinel.LabelSpaceMapping, "binary_target")
+    raw = rng.random((25, 4, 2)) + 1e-9
+    stack = PassStack([f"e{i}" for i in range(25)], raw / raw.sum(axis=2, keepdims=True))
+    labels = {f"e{i}": i % 2 for i in range(25)}
+    decisions = decide_all("filter", stack, labels, FilterThresholds(), None)
+    assert len(decisions) == 25 and len(builds) == 1
 
 
 def test_external_dump_errors_become_stage_failures(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from labelaudit.data import DataFormatError, PredictiveDistribution, save_distributions
+from labelaudit.data import DataFormatError, PassStack, PredictiveDistribution, save_distributions
 from labelaudit.mlp import ModelSpec, TrainConfig
 from labelaudit.noisebench import make_blobs
 from labelaudit.sentinel import (
@@ -60,6 +60,8 @@ def test_cv_validates_fold_count():
         build_cv_sentinel(ds, 1, SPEC, CFG, 2, seed=0)
     with pytest.raises(ValueError):
         build_cv_sentinel(ds, 5, SPEC, CFG, 2, seed=0)
+    with pytest.raises(ValueError, match="t_count must be >= 1"):
+        build_cv_sentinel(ds, 2, SPEC, CFG, -1, seed=0)
 
 
 def _rows(t, c, rng):
@@ -144,6 +146,44 @@ def test_map_to_evidence_equals_boolean_mask_sums(rng):
             ]
         )
         assert map_to_evidence(dist, mapping).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "roles",
+    [
+        ("supports_positive", "abstain", "supports_negative"),
+        ("supports_positive", "abstain", "supports_negative", "supports_positive", "supports_negative"),
+        # 13 positive columns: more than numpy's 8-wide unrolled summation block
+        ("supports_positive",) * 13 + ("supports_negative",) * 9 + ("abstain",) * 2,
+    ],
+    ids=["one-column-each", "two-columns-each", "many-columns"],
+)
+def test_map_to_evidence_on_a_stack_equals_the_per_row_results(rng, roles):
+    mapping = LabelSpaceMapping(tuple(f"c{i}" for i in range(len(roles))), roles)
+    role_array = np.array(roles)
+    for n, t in ((1, 1), (7, 10), (300, 4)):
+        stack = PassStack([f"e{i}" for i in range(n)], [_rows(t, len(roles), rng) for _ in range(n)])
+        evidence = map_to_evidence(stack, mapping)
+        assert evidence.shape == (n, t, 2)
+        for i, dist in enumerate(stack):
+            expected = np.column_stack(
+                [
+                    dist.passes[:, role_array == "supports_positive"].sum(axis=1),
+                    dist.passes[:, role_array == "supports_negative"].sum(axis=1),
+                ]
+            )
+            assert evidence[i].tobytes() == map_to_evidence(dist, mapping).tobytes() == expected.tobytes()
+
+
+def test_cv_sentinel_refuses_overflowing_output(monkeypatch):
+    ds = make_blobs(12, 2, 2, [(-2, 0), (2, 0)], 1.0, 4)
+    monkeypatch.setattr(
+        "labelaudit.sentinel.mcd_predict",
+        lambda model, x, t, seed, example_id="": PredictiveDistribution(example_id, np.full((t, 2), np.nan)),
+    )
+    with pytest.raises(ValueError, match="not a probability distribution: distribution 'ex00000': row 0") as info:
+        build_cv_sentinel(ds, 3, SPEC, CFG, 2, seed=0)
+    assert not isinstance(info.value, DataFormatError)  # a model fault, not malformed input
 
 
 def test_map_to_evidence_width_mismatch():
