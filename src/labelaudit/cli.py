@@ -264,7 +264,8 @@ def _cmd_decide(args) -> int:
     dataset = load_dataset(config.dataset)
     dists, _ = sentinel_distributions(config, dataset)
     thresholds = config.resolved_thresholds(dataset.class_count)
-    decisions = decide_all(config.policy, dists, dataset.labels_by_id(), thresholds, config.label_mapping())
+    labels = [ex.label for ex in dataset.examples]
+    decisions = decide_all(config.policy, dists, labels, thresholds, config.label_mapping)
     save_decisions(decisions, out)
     flagged = sum(1 for d in decisions if d.verdict != "keep")
     print(f"decided {len(decisions)} examples, flagged {flagged} -> {out}")

@@ -144,9 +144,6 @@ class Dataset:
             self.class_names,
         )
 
-    def labels_by_id(self) -> dict[str, int]:
-        return {ex.id: ex.label for ex in self.examples}
-
 
 @dataclass(frozen=True, eq=False)
 class PredictiveDistribution:
@@ -387,17 +384,21 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 def load_distributions(path: str) -> PassStack:
     """Stream a line-delimited distribution dump (no header line) into a stack.
 
-    The first record fixes (T, C); a record of another shape fails naming its
-    id and line.  Records are copied into fixed-size blocks as they are read,
-    so no per-record object outlives its line.
+    The first record fixes (T, C); a record of another shape or a repeated id
+    fails naming its id and line.  Records are copied into fixed-size blocks as
+    they are read, so no per-record object outlives its line.
     """
     ids: list[str] = []
+    seen: set[str] = set()
     blocks: list[np.ndarray] = []
     filled = 0  # rows written to the last block
 
     def build(rec: dict) -> None:
         nonlocal filled
         exid, passes = rec["example_id"], np.array(rec["passes"], dtype=float)
+        if exid in seen:
+            raise DataFormatError(f"duplicate distribution for example {exid!r}")
+        seen.add(exid)
         if not blocks:
             PredictiveDistribution(exid, passes)  # the first record's shape must be a valid T x C
         elif passes.shape != blocks[0].shape[1:]:

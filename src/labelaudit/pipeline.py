@@ -18,6 +18,7 @@ import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -248,8 +249,9 @@ class PipelineConfig:
             dropout_rate=self.dropout,
         )
 
+    @cached_property
     def label_mapping(self) -> LabelSpaceMapping | None:
-        """The sentinel's class-space mapping, read from the ``mapping`` file if one is named."""
+        """The sentinel's class-space mapping, read once from the ``mapping`` file if one is named."""
         if self.mapping is not None:
             return LabelSpaceMapping.from_file(self.mapping)
         return None
@@ -388,9 +390,10 @@ class PipelineResult:
     sweep_table: list | None = None
 
 
-def decide_all(policy: str, dists: PassStack, labels: dict[str, int], thresholds, mapping: LabelSpaceMapping | None):
-    """One decision per row of the stack; ``mapping`` turns a sentinel's classes into
-    evidence for the filter policy (``None``: a binary sentinel in the target's space)."""
+def decide_all(policy: str, dists: PassStack, labels: list[int], thresholds, mapping: LabelSpaceMapping | None):
+    """One decision per row of the stack, where ``labels[i]`` is the current label
+    of row i; ``mapping`` turns a sentinel's classes into evidence for the filter
+    policy (``None``: a binary sentinel in the target's space)."""
     if not dists.ids:
         return []
     rows = dists.passes
@@ -401,10 +404,7 @@ def decide_all(policy: str, dists: PassStack, labels: dict[str, int], thresholds
             mapping = LabelSpaceMapping.binary_target()
         rows = map_to_evidence(dists, mapping)
     decisions = []
-    for i, example_id in enumerate(dists.ids):
-        label = labels.get(example_id)
-        if label is None:
-            raise ValueError(f"distribution for unknown example {example_id!r}")
+    for i, (example_id, label) in enumerate(zip(dists.ids, labels, strict=True)):
         if policy == "overwrite":
             decisions.append(decide_overwrite(summarize(rows[i], example_id=example_id), label, thresholds))
         elif policy == "filter":
@@ -415,7 +415,7 @@ def decide_all(policy: str, dists: PassStack, labels: dict[str, int], thresholds
 
 
 def sentinel_distributions(config: PipelineConfig, dataset: Dataset, dev: bool = False):
-    """Distributions for one dataset, from CV or an external dump, gold stripped.
+    """Distributions for one dataset in its example order, from CV or an external dump, gold stripped.
 
     ``dev`` marks the dev split: it draws the CV sentinel from its own seed
     stream and reads ``dev_dump`` in place of ``dump``.  Returns
@@ -433,16 +433,9 @@ def sentinel_distributions(config: PipelineConfig, dataset: Dataset, dev: bool =
     dump = config.dev_dump if dev else config.dump
     if dump is None:
         raise ValueError("external sentinel needs a distribution dump for this dataset")
-    mapping = config.label_mapping()
+    mapping = config.label_mapping
     width = len(mapping.roles) if mapping is not None else dataset.class_count
-    dists = ingest_external_dump(dump, config.passes, width)
-    covered = set(dists.ids)
-    missing = [ex.id for ex in dataset.examples if ex.id not in covered]
-    if missing:
-        raise DataFormatError(
-            f"{dump}: no distribution for {len(missing)} of {len(dataset)} examples, first {missing[0]!r}"
-        )
-    return dists, None
+    return ingest_external_dump(dump, config.passes, width, [ex.id for ex in dataset.examples]), None
 
 
 def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
@@ -462,11 +455,10 @@ def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
         raise ValueError(f"sweep grid names unknown fields {sorted(unknown)} for policy {config.policy!r}")
     base = thresholds_to_section(config.resolved_thresholds(clean_dev.class_count))
     axes = [sorted(set(float(v) for v in config.sweep.get(f, [base[f]]))) for f in grid]
-    truth = {ex.id: ex.label != ex.gold_label for ex in clean_dev.examples}
-    labels = clean_dev.labels_by_id()
+    truth = [ex.label != ex.gold_label for ex in clean_dev.examples]
+    labels = [ex.label for ex in clean_dev.examples]
     dists, _ = sentinel_distributions(config, clean_dev, dev=True)
-    mapping = config.label_mapping()
-    total_bad = sum(truth.values())
+    total_bad = sum(truth)
     table = []
     for point in itertools.product(*axes):
         section = dict(base)
@@ -475,9 +467,9 @@ def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
             candidate = thresholds_from_section(config.policy, section)
         except ValueError:
             continue  # grid points violating threshold invariants are skipped
-        decisions = decide_all(config.policy, dists, labels, candidate, mapping)
-        flagged = [d for d in decisions if d.verdict != KEEP]
-        tp = sum(1 for d in flagged if truth[d.example_id])
+        decisions = decide_all(config.policy, dists, labels, candidate, config.label_mapping)
+        flagged = [bad for d, bad in zip(decisions, truth) if d.verdict != KEEP]
+        tp = sum(flagged)
         fp = len(flagged) - tp
         fn = total_bad - tp
         denom = 2 * tp + fp + fn
@@ -526,6 +518,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """
     if config.sweep and config.benchmark is None and config.dev_dataset is None:
         raise ValueError("sweep requires a dev dataset with gold labels: a benchmark section or dev_dataset")
+    if config.sweep and config.sentinel == "external" and config.dev_dump is None:
+        raise ValueError("sweep with the external sentinel requires a dev_dump for the dev dataset")
     started = time.perf_counter()
     out_dir = Path(config.out_dir)
 
@@ -568,9 +562,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         dists, fold_assignment = sentinel_distributions(config, working)
 
     with _stage("decide"):
-        decisions = decide_all(
-            config.policy, dists, working.labels_by_id(), thresholds, config.label_mapping()
-        )
+        labels = [ex.label for ex in working.examples]
+        decisions = decide_all(config.policy, dists, labels, thresholds, config.label_mapping)
         # decisions are the audit trail; persist them before anything is applied.
         # The output directory appears with this first write, so a run that
         # fails earlier leaves nothing behind.

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -129,12 +130,15 @@ def build_cv_sentinel(
     return stack, assignment
 
 
-def ingest_external_dump(path: str, expected_t: int, expected_c: int) -> PassStack:
-    """Load and validate an external stochastic prediction dump.
+def ingest_external_dump(path: str, expected_t: int, expected_c: int, ids: Sequence[str]) -> PassStack:
+    """Load and validate an external stochastic prediction dump: the one place a
+    dump meets its dataset.  Row i of the returned stack holds ``ids[i]``.
 
-    Every record must carry exactly ``expected_t`` rows of width ``expected_c``;
-    the loader holds all records to the first one's shape, so a mismatch names
-    the first record.  Errors name the file.
+    The records may come in any order, one per id: a missing, unknown or
+    repeated id fails.  Every record must carry exactly ``expected_t`` rows of
+    width ``expected_c``; the loader holds all records to the first one's
+    shape, so a mismatch names the first record.  Errors name the file.  A
+    dump already in the order of ``ids`` comes back without a copy.
     """
     stack = load_distributions(path)
     try:
@@ -147,9 +151,19 @@ def ingest_external_dump(path: str, expected_t: int, expected_c: int) -> PassSta
                 f"dump record {stack.ids[0]!r}: expected {expected_c} classes, found {stack.class_count}"
             )
         validate_distribution(stack)
+        if stack.ids == tuple(ids):
+            return stack
+        row_of = {exid: row for row, exid in enumerate(stack.ids)}
+        missing = [exid for exid in ids if exid not in row_of]
+        if missing:
+            raise DataFormatError(f"no distribution for {len(missing)} of {len(ids)} examples, first {missing[0]!r}")
+        if len(stack) > len(ids):  # the loader refused repeats, so some id is not in ``ids``
+            wanted = set(ids)
+            unknown = next(exid for exid in stack.ids if exid not in wanted)
+            raise DataFormatError(f"distribution for unknown example {unknown!r}")
     except DataFormatError as err:
         raise located(path, err) from None
-    return stack
+    return PassStack(ids, stack.passes[[row_of[exid] for exid in ids]])
 
 
 def map_to_evidence(dists: PassStack | PredictiveDistribution, mapping: LabelSpaceMapping) -> np.ndarray:

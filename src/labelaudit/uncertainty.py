@@ -83,14 +83,3 @@ def ordinal_quantile(dist, q: float, ordering) -> int:
     k = math.ceil(q * t_count - 1e-12)
     k = min(max(k, 1), t_count)
     return ordering[ranked[k - 1]]
-
-
-def summary_record(summary: UncertaintySummary) -> dict:
-    """Flat JSON-ready form used in reports."""
-    return {
-        "example_id": summary.example_id,
-        "mean": [float(v) for v in summary.mean],
-        "std": [float(v) for v in summary.std],
-        "variation_ratio": summary.variation_ratio,
-        "modal_class": summary.modal_class,
-    }

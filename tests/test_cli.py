@@ -10,6 +10,7 @@ from labelaudit.data import load_dataset, load_distributions
 from labelaudit.mlp import load_model
 from labelaudit.noisebench import load_noise_mask
 from labelaudit.policy import load_decisions
+from labelaudit.sentinel import LabelSpaceMapping
 
 
 def test_make_data_and_inject_noise(tmp_path):
@@ -265,10 +266,8 @@ def test_usage_error_exits_one():
     assert main([]) == 1
 
 
-def _write_dump(path, ids, passes):
-    path.write_text(
-        "".join(json.dumps({"example_id": i, "passes": [[0.5, 0.5]] * passes}) + "\n" for i in ids)
-    )
+def _write_dump(path, records) -> None:
+    path.write_text("".join(json.dumps({"example_id": i, "passes": p}) + "\n" for i, p in records))
 
 
 @pytest.mark.parametrize("command", ["train", "build-sentinel", "decide"])
@@ -283,7 +282,7 @@ def test_stage_commands_take_settings_from_config(tmp_path, command):
 
     def run(flags, passes):
         if command == "decide":
-            _write_dump(tmp_path / "dump.jsonl", ids, passes)
+            _write_dump(tmp_path / "dump.jsonl", [(i, [[0.5, 0.5]] * passes) for i in ids])
             flags = flags + ["--dump", str(tmp_path / "dump.jsonl")]
         assert main(base + flags) == 0
 
@@ -416,6 +415,7 @@ def test_cli_imports_no_private_names():
         (["run", "--config", "{tmp}/threshold.json"], "config: thresholds.overwrite.t1 must be float, got 'x'"),
         (["run", "--config", "{tmp}/sweep.json"], "config: sweep.t1 must be a list of float, got 5"),
         (["run", "--config", "{tmp}/passes.json"], "config: passes must be >= 1, got -1"),
+        (["run", "--config", "{tmp}/dev_dump.json"], "sweep with the external sentinel requires a dev_dump"),
     ],
     ids=[
         "train-header-only",
@@ -427,6 +427,7 @@ def test_cli_imports_no_private_names():
         "threshold-not-a-float",
         "sweep-value-not-a-list",
         "passes-below-one",
+        "external-sweep-without-dev-dump",
     ],
 )
 def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, argv, message):
@@ -441,6 +442,13 @@ def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, 
         "threshold": {"dataset": str(tmp_path / "data.jsonl"), "thresholds": {"overwrite": {"t1": "x"}}},
         "sweep": {"dataset": str(tmp_path / "data.jsonl"), "sweep": {"t1": 5}},
         "passes": {"dataset": str(tmp_path / "data.jsonl"), "passes": -1},
+        "dev_dump": {
+            "dataset": str(tmp_path / "data.jsonl"),
+            "sentinel": "external",
+            "dump": str(tmp_path / "dump.jsonl"),
+            "dev_dataset": str(tmp_path / "data.jsonl"),
+            "sweep": {"t1": [0.2, 0.3]},
+        },
     }
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "out": str(out)}))
@@ -458,7 +466,9 @@ MAPPING = {
 
 
 @pytest.mark.parametrize("command", ["decide", "run"])
-@pytest.mark.parametrize("case", ["nan-feature", "row-sum", "mapping-without-roles", "partial-dump"])
+@pytest.mark.parametrize(
+    "case", ["nan-feature", "row-sum", "mapping-without-roles", "partial-dump", "duplicate-id", "unknown-id"]
+)
 def test_malformed_input_content_exits_one(tmp_path, capsys, command, case):
     data, dump, mapping = tmp_path / "data.jsonl", tmp_path / "dump.jsonl", tmp_path / "mapping.json"
     main(["make-data", "--out", str(data), "--n", "50", "--seed", "1"])
@@ -477,7 +487,12 @@ def test_malformed_input_content_exits_one(tmp_path, capsys, command, case):
         mapping.write_text(json.dumps({"classes": MAPPING["classes"]}))
     elif case == "partial-dump":
         rows = {ids[0]: rows[ids[0]]}
-    dump.write_text("".join(json.dumps({"example_id": i, "passes": p}) + "\n" for i, p in rows.items()))
+    records = list(rows.items())
+    if case == "duplicate-id":
+        records.append((ids[3], rows[ids[3]]))
+    elif case == "unknown-id":
+        records.insert(7, ("stranger", rows[ids[0]]))
+    _write_dump(dump, records)
     out = tmp_path / "out"
     flags = ["--dataset", str(data), "--dump", str(dump), "--passes", "10", "--policy", "filter"]
     flags += ["--mapping", str(mapping), "--out", str(out)]
@@ -489,4 +504,45 @@ def test_malformed_input_content_exits_one(tmp_path, capsys, command, case):
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     if case == "partial-dump":
         assert f"no distribution for 49 of 50 examples, first {ids[1]!r}" in err
+    elif case == "duplicate-id":
+        assert err == f"error: {dump}: line 51: duplicate distribution for example {ids[3]!r}\n"
+    elif case == "unknown-id":
+        assert err == f"error: {dump}: distribution for unknown example 'stranger'\n"
     assert not out.exists()
+
+
+def test_decisions_follow_dataset_order_whatever_the_dump_order(tmp_path):
+    data = tmp_path / "data.jsonl"
+    main(["make-data", "--out", str(data), "--n", "30", "--seed", "2"])
+    ids = [ex.id for ex in load_dataset(str(data)).examples]
+    records = [(i, [[0.1 * (j % 10), 1 - 0.1 * (j % 10)]] * 4) for j, i in enumerate(ids)]
+    outputs = []
+    for name, order in [("in-order", records), ("reversed", records[::-1])]:
+        _write_dump(tmp_path / f"{name}.jsonl", order)
+        outputs.append(tmp_path / f"{name}-decisions.jsonl")
+        flags = ["--dataset", str(data), "--dump", str(tmp_path / f"{name}.jsonl"), "--passes", "4"]
+        assert main(["decide", *flags, "--policy", "filter", "--out", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    assert [d.example_id for d in load_decisions(str(outputs[1]))] == ids
+
+
+@pytest.mark.parametrize("command", ["run", "decide", "sweep"])
+def test_each_command_reads_the_mapping_once(tmp_path, monkeypatch, command):
+    data, dump, mapping = tmp_path / "data.jsonl", tmp_path / "dump.jsonl", tmp_path / "mapping.json"
+    main(["make-data", "--out", str(data), "--n", "20", "--seed", "1"])
+    _write_dump(dump, [(ex.id, [[0.2, 0.1, 0.7]] * 3) for ex in load_dataset(str(data)).examples])
+    mapping.write_text(json.dumps(MAPPING))
+    reads = []
+    from_file = LabelSpaceMapping.from_file
+    monkeypatch.setattr(LabelSpaceMapping, "from_file", lambda path: reads.append(path) or from_file(path))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dev_dataset": str(data), "dev_dump": str(dump), "sweep": {"t1": [0.5, 0.75]}}))
+    argv = {
+        "run": ["--config", str(config), "--sentinel", "external"],
+        "decide": [],
+        "sweep": ["--grid", json.dumps({"t1": [0.5, 0.75]})],
+    }[command]
+    flags = ["--dataset", str(data), "--dump", str(dump), "--passes", "3", "--policy", "filter"]
+    flags += ["--mapping", str(mapping), "--out", str(tmp_path / "out")]
+    assert main([command, *argv, *flags]) == 0
+    assert reads == [str(mapping)]

@@ -346,6 +346,15 @@ def test_distribution_file_rejects_a_record_of_another_shape(tmp_path):
     assert len(load_distributions(str(path))) == 0
 
 
+def test_distribution_file_rejects_a_repeated_id_at_its_line(tmp_path):
+    path = tmp_path / "dists.jsonl"
+    record = '{"example_id": "a", "passes": [[0.5, 0.5]]}\n'
+    path.write_text(record + '{"example_id": "b", "passes": [[0.5, 0.5]]}\n\n' + record)
+    with pytest.raises(DataFormatError) as info:
+        load_distributions(str(path))
+    assert str(info.value) == f"{path}: line 4: duplicate distribution for example 'a'"
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_features_rejected(tmp_path, value):
     path = _write(

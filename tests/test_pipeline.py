@@ -265,8 +265,7 @@ def test_decide_all_resolves_the_binary_mapping_once(monkeypatch, rng):
     builds = _counted(monkeypatch, sentinel.LabelSpaceMapping, "binary_target")
     raw = rng.random((25, 4, 2)) + 1e-9
     stack = PassStack([f"e{i}" for i in range(25)], raw / raw.sum(axis=2, keepdims=True))
-    labels = {f"e{i}": i % 2 for i in range(25)}
-    decisions = decide_all("filter", stack, labels, FilterThresholds(), None)
+    decisions = decide_all("filter", stack, [i % 2 for i in range(25)], FilterThresholds(), None)
     assert len(decisions) == 25 and len(builds) == 1
 
 

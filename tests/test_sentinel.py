@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from labelaudit.data import DataFormatError, PassStack, PredictiveDistribution, save_distributions
+from labelaudit import sentinel
+from labelaudit.data import DataFormatError, PassStack, PredictiveDistribution, load_distributions, save_distributions
 from labelaudit.mlp import ModelSpec, TrainConfig
 from labelaudit.noisebench import make_blobs
 from labelaudit.sentinel import (
@@ -69,36 +70,55 @@ def _rows(t, c, rng):
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-def test_ingest_external_dump(tmp_path, rng):
+def test_ingest_external_dump(tmp_path, rng, monkeypatch):
     path = tmp_path / "dump.jsonl"
-    dists = [
-        PredictiveDistribution("a", _rows(10, 3, rng)),
-        PredictiveDistribution("b", _rows(10, 3, rng)),
-    ]
+    dists = [PredictiveDistribution(exid, _rows(10, 3, rng)) for exid in "abc"]
     save_distributions(dists, str(path))
-    loaded = ingest_external_dump(str(path), 10, 3)
-    assert [d.example_id for d in loaded] == ["a", "b"]
+    loaded = []
+    monkeypatch.setattr(sentinel, "load_distributions", lambda p: loaded.append(load_distributions(p)) or loaded[-1])
+    in_order = ingest_external_dump(str(path), 10, 3, ["a", "b", "c"])
+    assert in_order is loaded[0]  # a dump in dataset order is not copied
+    reordered = ingest_external_dump(str(path), 10, 3, ["c", "a", "b"])
+    assert reordered.ids == ("c", "a", "b")
+    for i, exid in enumerate(reordered.ids):
+        assert np.array_equal(reordered.passes[i], dists["abc".index(exid)].passes)
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        (["a", "b", "c", "d"], "no distribution for 2 of 4 examples, first 'c'"),
+        (["b"], "distribution for unknown example 'a'"),
+    ],
+    ids=["missing", "unknown"],
+)
+def test_ingest_rejects_a_dump_that_does_not_match_the_ids(tmp_path, rng, ids, message):
+    path = tmp_path / "dump.jsonl"
+    save_distributions([PredictiveDistribution(exid, _rows(2, 3, rng)) for exid in "ab"], str(path))
+    with pytest.raises(DataFormatError) as info:
+        ingest_external_dump(str(path), 2, 3, ids)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_ingest_rejects_wrong_t(tmp_path, rng):
     path = tmp_path / "dump.jsonl"
     save_distributions([PredictiveDistribution("bad-id", _rows(9, 3, rng))], str(path))
     with pytest.raises(DataFormatError, match="bad-id"):
-        ingest_external_dump(str(path), 10, 3)
+        ingest_external_dump(str(path), 10, 3, ["bad-id"])
 
 
 def test_ingest_rejects_wrong_width(tmp_path, rng):
     path = tmp_path / "dump.jsonl"
     save_distributions([PredictiveDistribution("a", _rows(10, 2, rng))], str(path))
     with pytest.raises(DataFormatError, match="classes"):
-        ingest_external_dump(str(path), 10, 3)
+        ingest_external_dump(str(path), 10, 3, ["a"])
 
 
 def test_ingest_rejects_bad_probability_rows(tmp_path):
     path = tmp_path / "dump.jsonl"
     path.write_text('{"example_id": "a", "passes": [[0.5, 0.3]]}\n')
     with pytest.raises(DataFormatError, match="sums") as info:
-        ingest_external_dump(str(path), 1, 2)
+        ingest_external_dump(str(path), 1, 2, ["a"])
     assert str(info.value).startswith(f"{path}: distribution 'a': row 0")
 
 

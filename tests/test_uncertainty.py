@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from labelaudit.data import PredictiveDistribution
-from labelaudit.uncertainty import ordinal_quantile, summarize, summary_record
+from labelaudit.uncertainty import ordinal_quantile, summarize
 
 
 def _dist(rows, example_id="e"):
@@ -136,14 +136,3 @@ def test_quantile_validates_inputs():
         ordinal_quantile(dist, 0.5, (0, 1))  # not a permutation of all 3 classes
     with pytest.raises(ValueError):
         ordinal_quantile(dist, 1.5, ORDER)
-
-
-def test_summary_record_shape():
-    rec = summary_record(summarize(_dist([[0.9, 0.1]]), example_id="a"))
-    assert rec == {
-        "example_id": "a",
-        "mean": [0.9, 0.1],
-        "std": [0.0, 0.0],
-        "variation_ratio": 0.0,
-        "modal_class": 0,
-    }
