@@ -12,8 +12,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .data import (
     PassStack,
     load_dataset,
@@ -24,7 +22,7 @@ from .data import (
     write_json,
     write_jsonl,
 )
-from .mlp import init_model, load_model, mcd_predict, save_model, train
+from .mlp import init_model, load_model, save_model, train
 from .noisebench import NoiseSpec, inject_noise, make_blobs, save_noise_mask
 from .pipeline import (
     PipelineError,
@@ -45,8 +43,7 @@ from .policy import (
     thresholds_to_section,
 )
 from .sdgmask import proposal_record, select_masks
-from .seeding import mix64
-from .sentinel import build_cv_sentinel
+from .sentinel import build_cv_sentinel, mcd_passes
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -229,9 +226,8 @@ def _cmd_mcd_infer(args) -> int:
     config = config_from_dict(_config_doc(args))
     model = load_model(args.model)
     dataset = load_dataset(config.dataset, expected_schema="features")
-    passes = np.empty((len(dataset), config.passes, model.spec.class_count))
-    for j, ex in enumerate(dataset.examples):
-        passes[j] = mcd_predict(model, ex.features, config.passes, mix64(config.seed, 1 + j)).passes
+    features = [ex.features for ex in dataset.examples]
+    passes = mcd_passes(model, features, range(len(features)), config.passes, config.seed)
     dists = PassStack(tuple(ex.id for ex in dataset.examples), passes)
     validate_distribution(dists)  # an overflowing model writes no dump
     save_distributions(dists, out)

@@ -3,8 +3,10 @@
 Dropout follows the inverted convention: surviving hidden activations are scaled
 by 1/(1-p) at masking time, so plain inference needs no correction.  Stochastic
 multi-pass inference (``mcd_predict``) re-applies fresh masks per pass to an
-already trained model: each pass still draws its masks from its own generator,
-seeded ``mix64(seed, t)``, and all T passes then run as one stacked forward.
+already trained model: pass t still draws its masks from numpy's
+``default_rng(mix64(seed, t))``, whose seed words callers may derive in bulk
+(``seeding.pass_seed_words``, tested against numpy's own ``SeedSequence``),
+and all T passes then run as one stacked forward.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, PredictiveDistribution, feature_matrix, label_vector, read_json, write_json
-from .seeding import generator, mix64
+from .seeding import checked_words, generator, words_generator
 
 CHECKPOINT_FORMAT = "labelaudit-model-v1"
 
@@ -237,35 +239,42 @@ def predict_batch(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def mcd_predict(
-    model: Model, features, t_count: int, seed: int, example_id: str = ""
+    model: Model, features, t_count: int, seed: int | np.ndarray, example_id: str = ""
 ) -> PredictiveDistribution:
     """T stochastic forward passes with fresh Bernoulli(1-p) masks on every hidden layer.
 
-    Pass ``t`` draws its masks from a generator seeded ``mix64(seed, t)``, one
-    mask per hidden layer in order, so passes are reproducible and independently
-    recomputable.  The T passes then run as one forward over a (T, 1, d) stack,
-    which rounds exactly as T separate 1-row forwards would.  With dropout_rate
-    0 every row equals ``predict``.
+    Pass ``t`` draws its masks from numpy's ``default_rng(mix64(seed, t))``,
+    one mask per hidden layer in order, so passes are reproducible and
+    independently recomputable.  ``seed`` is an int, or the (T, 4) uint64
+    words ``seeding.pass_seed_words`` gives for it, which callers derive in
+    bulk and which skip numpy's per-pass seed hashing; both give the same
+    bits.  Every pass shares the input, so the first hidden layer runs once
+    as a 1-row product; the masked passes then run as one forward over a
+    (T, 1, h) stack, which rounds exactly as T separate 1-row forwards would.
+    With dropout_rate 0 every row equals ``predict``.
     """
     if t_count < 1:
         raise ValueError("t_count must be >= 1")
     x = np.asarray(features, dtype=float)
     if x.shape != (model.spec.input_dim,):
         raise ValueError(f"features shape {x.shape} does not match input_dim {model.spec.input_dim}")
+    words = None if isinstance(seed, (int, np.integer)) else checked_words(seed, t_count)
     p = model.spec.dropout_rate
-    widths = model.spec.hidden_dims
     masks = None
     if p > 0.0:
-        draws = np.empty((t_count, sum(widths)))
+        draws = np.empty((t_count, 1, sum(model.spec.hidden_dims)))
         for t in range(t_count):
-            generator(seed, t).random(out=draws[t])
+            rng = generator(int(seed), t) if words is None else words_generator(words[t])
+            rng.random(out=draws[t, 0])
         scaled = (draws >= p) / (1.0 - p)
-        masks = [m[:, None, :] for m in np.split(scaled, np.cumsum(widths)[:-1], axis=1)]
-    # a (T, 1, d) stack runs each pass's 1-row product inside one matmul call;
-    # a 2-D (T, d) batch would go through gemm and round differently
-    stack = np.broadcast_to(x, (t_count, 1, x.size))
-    logits = _forward(model.weights, model.biases, stack, masks)[2]
-    return PredictiveDistribution(example_id, _softmax(logits)[:, 0])
+        edges = np.cumsum((0, *model.spec.hidden_dims))
+        masks = [scaled[..., lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+    # a (1, 1, d) input broadcasts against the (T, 1, h) masks, so each later
+    # layer runs every pass's 1-row product inside one matmul call; a 2-D
+    # (T, h) batch would go through gemm and round differently
+    logits = _forward(model.weights, model.biases, x[None, None, :], masks)[2]
+    probs = _softmax(logits)[:, 0]
+    return PredictiveDistribution(example_id, np.broadcast_to(probs, (t_count, probs.shape[-1])))
 
 
 def save_model(model: Model, path: str) -> None:

@@ -14,13 +14,14 @@ from .data import (
     Dataset,
     PassStack,
     PredictiveDistribution,
+    feature_matrix,
     load_distributions,
     located,
     read_json,
     validate_distribution,
 )
-from .mlp import ModelSpec, TrainConfig, init_model, mcd_predict, train
-from .seeding import generator, mix64
+from .mlp import Model, ModelSpec, TrainConfig, init_model, mcd_predict, train
+from .seeding import generator, mix64, pass_seed_words
 
 SUPPORTS_POSITIVE = "supports_positive"
 SUPPORTS_NEGATIVE = "supports_negative"
@@ -71,6 +72,22 @@ class LabelSpaceMapping:
         return read_json(path, lambda doc: cls(tuple(doc["classes"]), tuple(doc["roles"])))
 
 
+def mcd_passes(model: Model, features, rows: Sequence[int], t_count: int, seed: int) -> np.ndarray:
+    """MC-dropout passes of the examples at positions ``rows`` of ``features``
+    (an (n, d) feature matrix or a sequence of n feature vectors): an
+    (len(rows), T, C) array, row i for example ``rows[i]``.
+
+    Example j is seeded ``mix64(seed, 1 + j)`` and runs one ``mcd_predict``
+    call; the seed words of all the rows' passes come from one
+    ``pass_seed_words`` call.
+    """
+    words = pass_seed_words(np.array([mix64(seed, 1 + j) for j in rows], dtype=np.uint64), t_count)
+    passes = np.empty((len(rows), t_count, model.spec.class_count))
+    for i, j in enumerate(rows):
+        passes[i] = mcd_predict(model, features[j], t_count, words[i]).passes
+    return passes
+
+
 def build_cv_sentinel(
     dataset: Dataset,
     k: int,
@@ -84,10 +101,11 @@ def build_cv_sentinel(
     Examples are shuffled by ``seed`` into k folds whose sizes differ by at most
     one; for each fold a model is trained on the complement (init and SGD seeded
     ``mix64(train_config.seed, fold)``) and runs ``t_count`` stochastic passes on
-    the held-out examples (example at original position j seeded
-    ``mix64(seed, 1 + j)``).  No model ever sees the label of an example it
-    predicts.  Each example's passes fill its row of one stack, which is then
-    validated in one call: a model whose output overflows fails here.
+    the held-out examples through ``mcd_passes`` (example at original position
+    j seeded ``mix64(seed, 1 + j)``).  No model ever sees the label of an
+    example it predicts.  Each example's passes fill its row of one stack,
+    which is then validated in one call: a model whose output overflows fails
+    here.
 
     Returns (PassStack in dataset order, FoldAssignment).
     """
@@ -102,6 +120,7 @@ def build_cv_sentinel(
     fold = np.empty(n, dtype=int)
     for shuffled_pos, original in enumerate(order):
         fold[original] = shuffled_pos % k
+    x = feature_matrix(dataset)
     passes = np.empty((n, t_count, model_spec.class_count))
     for f in range(k):
         train_subset = Dataset(
@@ -112,13 +131,8 @@ def build_cv_sentinel(
         fold_seed = mix64(train_config.seed, f)
         model = init_model(model_spec, fold_seed)
         fitted = train(model, train_subset, replace(train_config, seed=fold_seed))
-        for j in range(n):
-            if fold[j] != f:
-                continue
-            ex = dataset.examples[j]
-            passes[j] = mcd_predict(
-                fitted, ex.features, t_count, mix64(seed, 1 + j), example_id=ex.id
-            ).passes
+        held_out = np.flatnonzero(fold == f)
+        passes[held_out] = mcd_passes(fitted, x, held_out.tolist(), t_count, seed)
     stack = PassStack(tuple(ex.id for ex in dataset.examples), passes)
     try:
         validate_distribution(stack)

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from labelaudit.data import Dataset, LabeledExample, PredictiveDistribution, TaggedToken
+from labelaudit.data import PredictiveDistribution, TaggedToken
 from labelaudit.metrics import (
     RankedQuery,
     ScoredPrediction,
@@ -22,13 +22,11 @@ from labelaudit.metrics import (
 from labelaudit.mlp import (
     Model,
     ModelSpec,
-    TrainConfig,
     cross_entropy_loss,
     init_model,
     loss_gradients,
     mcd_predict,
     predict,
-    train,
 )
 from labelaudit.noisebench import NoiseMask, detection_scores
 from labelaudit.pipeline import BenchmarkConfig, PipelineConfig, default_benchmark_config, run_pipeline

@@ -1,5 +1,4 @@
 import ast
-import json
 import tempfile
 from pathlib import Path
 

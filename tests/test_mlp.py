@@ -17,7 +17,7 @@ from labelaudit.mlp import (
     train,
 )
 from labelaudit.noisebench import make_blobs
-from labelaudit.seeding import generator, mix64
+from labelaudit.seeding import generator, mix64, pass_seed_words
 
 
 def test_init_shapes_chain():
@@ -211,9 +211,35 @@ def test_mcd_predict_is_bit_identical_to_per_pass_loop(spec, t_count):
         assert got.tobytes() == _mcd_reference(model, x, t_count, mix64(5, i)).tobytes()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec(2, (32, 32), 2, dropout_rate=0.1), ModelSpec(3, (5, 5), 2, dropout_rate=0.0)],
+    ids=["stock", "no-dropout"],
+)
+def test_mcd_predict_gives_the_same_passes_for_a_seed_and_its_words(spec):
+    model = init_model(spec, seed=8)
+    x = np.linspace(-1.0, 1.0, spec.input_dim)
+    for seed in (0, 2**32, 2**64 - 1, mix64(5, 3)):
+        words = pass_seed_words(np.array([seed], dtype=np.uint64), 6)[0]
+        by_seed = mcd_predict(model, x, 6, seed=seed).passes
+        assert mcd_predict(model, x, 6, seed=words).passes.tobytes() == by_seed.tobytes()
+        # PCG64 reads the words as a raw buffer: strided words are copied first
+        fortran = np.asfortranarray(pass_seed_words(np.array([seed, 1], dtype=np.uint64), 6))
+        assert mcd_predict(model, x, 6, seed=fortran[0]).passes.tobytes() == by_seed.tobytes()
+
+
+def test_mcd_predict_refuses_words_of_another_type_or_shape():
+    model = init_model(ModelSpec(2, (4,), 2), seed=1)
+    words = pass_seed_words(np.array([3], dtype=np.uint64), 5)[0]
+    with pytest.raises(ValueError, match="uint64"):
+        mcd_predict(model, [0.5, -0.5], 5, seed=words.astype(np.int64))
+    with pytest.raises(ValueError, match="shape"):
+        mcd_predict(model, [0.5, -0.5], 4, seed=words)
+
+
 def test_mcd_predict_runs_one_forward_and_one_generator_per_pass(monkeypatch):
     # a work count, not a timing: a per-pass forward loop fails this on any host
-    calls = {"_forward": 0, "generator": 0}
+    calls = {"_forward": 0, "generator": 0, "words_generator": 0}
 
     def counted(name):
         original = getattr(mlp, name)
@@ -228,9 +254,12 @@ def test_mcd_predict_runs_one_forward_and_one_generator_per_pass(monkeypatch):
         monkeypatch.setattr(mlp, name, counted(name))
     model = init_model(ModelSpec(2, (8, 8), 2, dropout_rate=0.1), seed=4)
     for t_count in (1, 4, 10):
-        calls.update({"_forward": 0, "generator": 0})
+        calls.update(dict.fromkeys(calls, 0))
         mcd_predict(model, [0.5, -0.5], t_count, seed=3)
-        assert calls == {"_forward": 1, "generator": t_count}
+        assert calls == {"_forward": 1, "generator": t_count, "words_generator": 0}
+        calls.update(dict.fromkeys(calls, 0))
+        mcd_predict(model, [0.5, -0.5], t_count, seed=pass_seed_words(np.array([3], dtype=np.uint64), t_count)[0])
+        assert calls == {"_forward": 1, "generator": 0, "words_generator": t_count}
 
 
 def _numeric_gradients(model, x, y, masks, h=1e-5):

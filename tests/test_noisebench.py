@@ -1,9 +1,7 @@
-import numpy as np
 import pytest
 
 from labelaudit.data import load_dataset, save_dataset
 from labelaudit.noisebench import (
-    DetectionReport,
     NoiseMask,
     NoiseSpec,
     detection_scores,

@@ -2,11 +2,10 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from labelaudit import pipeline, sentinel
-from labelaudit.data import PassStack, PredictiveDistribution, save_distributions, load_dataset, load_distributions
+from labelaudit.data import PassStack, PredictiveDistribution, save_distributions
 from labelaudit.noisebench import make_blobs, inject_noise, NoiseSpec
 from labelaudit.pipeline import (
     BenchmarkConfig,

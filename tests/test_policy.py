@@ -26,7 +26,7 @@ from labelaudit.policy import (
     thresholds_from_section,
     thresholds_to_section,
 )
-from labelaudit.uncertainty import UncertaintySummary, summarize
+from labelaudit.uncertainty import UncertaintySummary
 
 
 def _summary(mean, std, example_id="e"):

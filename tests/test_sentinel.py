@@ -4,9 +4,17 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from labelaudit import sentinel
-from labelaudit.data import DataFormatError, PassStack, PredictiveDistribution, load_distributions, save_distributions
-from labelaudit.mlp import ModelSpec, TrainConfig
+from labelaudit.data import (
+    DataFormatError,
+    PassStack,
+    PredictiveDistribution,
+    feature_matrix,
+    load_distributions,
+    save_distributions,
+)
+from labelaudit.mlp import ModelSpec, TrainConfig, init_model, mcd_predict
 from labelaudit.noisebench import make_blobs
+from labelaudit.seeding import mix64
 from labelaudit.sentinel import (
     LabelSpaceMapping,
     build_cv_sentinel,
@@ -204,6 +212,32 @@ def test_cv_sentinel_refuses_overflowing_output(monkeypatch):
     with pytest.raises(ValueError, match="not a probability distribution: distribution 'ex00000': row 0") as info:
         build_cv_sentinel(ds, 3, SPEC, CFG, 2, seed=0)
     assert not isinstance(info.value, DataFormatError)  # a model fault, not malformed input
+
+
+def test_cv_sentinel_derives_seed_words_once_per_fold(monkeypatch):
+    # a work count: one bulk seed-word call per fold, one mcd_predict per example
+    calls = {"pass_seed_words": 0, "mcd_predict": 0}
+    for name in calls:
+        original = getattr(sentinel, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(sentinel, name, wrapper)
+    ds = make_blobs(25, 2, 2, [(-2, 0), (2, 0)], 1.0, 4)
+    build_cv_sentinel(ds, 4, SPEC, CFG, 3, seed=6)
+    assert calls == {"pass_seed_words": 4, "mcd_predict": 25}
+
+
+def test_mcd_passes_seed_example_j_from_mix64_of_its_position():
+    ds = make_blobs(9, 2, 2, [(-2, 0), (2, 0)], 1.0, 4)
+    model = init_model(SPEC, 3)
+    x = feature_matrix(ds)
+    rows = [7, 0, 4]
+    got = sentinel.mcd_passes(model, x, rows, 5, seed=11)
+    for i, j in enumerate(rows):
+        assert got[i].tobytes() == mcd_predict(model, x[j], 5, mix64(11, 1 + j)).passes.tobytes()
 
 
 def test_map_to_evidence_width_mismatch():

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from labelaudit.data import PredictiveDistribution, save_distributions
-from labelaudit.mlp import ModelSpec, init_model
-from labelaudit.sentinel import load_distributions, mcd_predict
+from labelaudit.mlp import ModelSpec, TrainConfig, init_model
+from labelaudit.noisebench import make_blobs
+from labelaudit.sentinel import build_cv_sentinel, load_distributions, mcd_predict
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -59,3 +60,19 @@ def test_mcd_predict_result_has_a_pass_count(tracing):
     dist = mcd_predict(*args)
     assert dist.t_count == 5
     assert _units(tracing, "mlp.mcd_predict", args, dist) == 5
+
+
+def test_cv_sentinel_records_one_mcd_predict_span_per_example(tracing):
+    # the benchmark's per-pass figure divides by these units: batching examples
+    # into fewer calls, or passes out of the result, fails here
+    dataset = make_blobs(14, 2, 2, [(-2, 0), (2, 0)], 1.0, 3)
+    spec = ModelSpec(2, (4,), 2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        build_cv_sentinel(dataset, 3, spec, TrainConfig(0.2, 1, 8, seed=1), 6, seed=2)
+    finally:
+        tracer.uninstall()
+    stat = tracer.stat("mlp.mcd_predict", root=None)
+    assert (stat.calls, stat.units) == (14, 14 * 6)
+    assert tracer.no_units == set()
