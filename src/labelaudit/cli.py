@@ -12,8 +12,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .data import (
     PassStack,
+    feature_matrix,
     load_dataset,
     read_json,
     save_dataset,
@@ -226,8 +229,9 @@ def _cmd_mcd_infer(args) -> int:
     config = config_from_dict(_config_doc(args))
     model = load_model(args.model)
     dataset = load_dataset(config.dataset, expected_schema="features")
-    features = [ex.features for ex in dataset.examples]
-    passes = mcd_passes(model, features, range(len(features)), config.passes, config.seed)
+    # a header-only dataset has no schema, so no feature matrix, and gives an empty dump
+    x = feature_matrix(dataset) if len(dataset) else np.empty((0, model.spec.input_dim))
+    passes = mcd_passes(model, x, range(len(dataset)), config.passes, config.seed)
     dists = PassStack(tuple(ex.id for ex in dataset.examples), passes)
     validate_distribution(dists)  # an overflowing model writes no dump
     save_distributions(dists, out)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, PredictiveDistribution, feature_matrix, label_vector, read_json, write_json
-from .seeding import checked_words, generator, words_generator
+from .seeding import _MASK64, checked_words, generator, pass_seed_words, words_generator
 
 CHECKPOINT_FORMAT = "labelaudit-model-v1"
 
@@ -245,10 +245,11 @@ def mcd_predict(
 
     Pass ``t`` draws its masks from numpy's ``default_rng(mix64(seed, t))``,
     one mask per hidden layer in order, so passes are reproducible and
-    independently recomputable.  ``seed`` is an int, or the (T, 4) uint64
-    words ``seeding.pass_seed_words`` gives for it, which callers derive in
-    bulk and which skip numpy's per-pass seed hashing; both give the same
-    bits.  Every pass shares the input, so the first hidden layer runs once
+    independently recomputable.  ``seed`` is an int, whose (T, 4) uint64 seed
+    words ``seeding.pass_seed_words`` derives here, or those words, which
+    callers derive in bulk for many examples at once; both give the same
+    bits, and either way each pass's generator is built from its words,
+    skipping numpy's per-pass seed hashing.  Every pass shares the input, so the first hidden layer runs once
     as a 1-row product; the masked passes then run as one forward over a
     (T, 1, h) stack, which rounds exactly as T separate 1-row forwards would.
     With dropout_rate 0 every row equals ``predict``.
@@ -258,14 +259,16 @@ def mcd_predict(
     x = np.asarray(features, dtype=float)
     if x.shape != (model.spec.input_dim,):
         raise ValueError(f"features shape {x.shape} does not match input_dim {model.spec.input_dim}")
-    words = None if isinstance(seed, (int, np.integer)) else checked_words(seed, t_count)
+    if isinstance(seed, (int, np.integer)):
+        words = pass_seed_words(np.array([int(seed) & _MASK64], dtype=np.uint64), t_count)[0]
+    else:
+        words = checked_words(seed, t_count)
     p = model.spec.dropout_rate
     masks = None
     if p > 0.0:
         draws = np.empty((t_count, 1, sum(model.spec.hidden_dims)))
         for t in range(t_count):
-            rng = generator(int(seed), t) if words is None else words_generator(words[t])
-            rng.random(out=draws[t, 0])
+            words_generator(words[t]).random(out=draws[t, 0])
         scaled = (draws >= p) / (1.0 - p)
         edges = np.cumsum((0, *model.spec.hidden_dims))
         masks = [scaled[..., lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]

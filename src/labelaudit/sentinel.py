@@ -73,9 +73,9 @@ class LabelSpaceMapping:
 
 
 def mcd_passes(model: Model, features, rows: Sequence[int], t_count: int, seed: int) -> np.ndarray:
-    """MC-dropout passes of the examples at positions ``rows`` of ``features``
-    (an (n, d) feature matrix or a sequence of n feature vectors): an
-    (len(rows), T, C) array, row i for example ``rows[i]``.
+    """MC-dropout passes of the examples at positions ``rows`` of the (n, d)
+    feature matrix ``features``: an (len(rows), T, C) array, row i for
+    example ``rows[i]``.
 
     Example j is seeded ``mix64(seed, 1 + j)`` and runs one ``mcd_predict``
     call; the seed words of all the rows' passes come from one

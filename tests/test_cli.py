@@ -65,6 +65,18 @@ def test_train_infer_evaluate_cycle(tmp_path, capsys):
     assert 0.0 <= result["accuracy"] <= 1.0
 
 
+def test_mcd_infer_on_a_header_only_dataset_writes_an_empty_dump(tmp_path, capsys):
+    data, empty, ckpt = tmp_path / "data.jsonl", tmp_path / "empty.jsonl", tmp_path / "model.json"
+    main(["make-data", "--out", str(data), "--n", "20", "--seed", "3"])
+    assert main(["train", "--dataset", str(data), "--out", str(ckpt), "--epochs", "1"]) == 0
+    empty.write_text(data.read_text().splitlines()[0] + "\n")
+    dump = tmp_path / "dump.jsonl"
+    capsys.readouterr()
+    assert main(["mcd-infer", "--model", str(ckpt), "--dataset", str(empty), "--out", str(dump)]) == 0
+    assert capsys.readouterr().out == f"wrote 0 distributions (10 passes each) to {dump}\n"
+    assert len(load_distributions(str(dump))) == 0
+
+
 def test_build_sentinel_decide_apply_cycle(tmp_path):
     data = tmp_path / "data.jsonl"
     main(["make-data", "--out", str(data), "--n", "30", "--seed", "6"])

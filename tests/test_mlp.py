@@ -239,7 +239,7 @@ def test_mcd_predict_refuses_words_of_another_type_or_shape():
 
 def test_mcd_predict_runs_one_forward_and_one_generator_per_pass(monkeypatch):
     # a work count, not a timing: a per-pass forward loop fails this on any host
-    calls = {"_forward": 0, "generator": 0, "words_generator": 0}
+    calls = {"_forward": 0, "pass_seed_words": 0, "words_generator": 0}
 
     def counted(name):
         original = getattr(mlp, name)
@@ -256,10 +256,11 @@ def test_mcd_predict_runs_one_forward_and_one_generator_per_pass(monkeypatch):
     for t_count in (1, 4, 10):
         calls.update(dict.fromkeys(calls, 0))
         mcd_predict(model, [0.5, -0.5], t_count, seed=3)
-        assert calls == {"_forward": 1, "generator": t_count, "words_generator": 0}
+        assert calls == {"_forward": 1, "pass_seed_words": 1, "words_generator": t_count}
+        words = pass_seed_words(np.array([3], dtype=np.uint64), t_count)[0]
         calls.update(dict.fromkeys(calls, 0))
-        mcd_predict(model, [0.5, -0.5], t_count, seed=pass_seed_words(np.array([3], dtype=np.uint64), t_count)[0])
-        assert calls == {"_forward": 1, "generator": 0, "words_generator": t_count}
+        mcd_predict(model, [0.5, -0.5], t_count, seed=words)
+        assert calls == {"_forward": 1, "pass_seed_words": 0, "words_generator": t_count}
 
 
 def _numeric_gradients(model, x, y, masks, h=1e-5):
