@@ -16,7 +16,6 @@ import numpy as np
 
 from .data import (
     PassStack,
-    feature_matrix,
     load_dataset,
     read_json,
     save_dataset,
@@ -230,9 +229,9 @@ def _cmd_mcd_infer(args) -> int:
     model = load_model(args.model)
     dataset = load_dataset(config.dataset, expected_schema="features")
     # a header-only dataset has no schema, so no feature matrix, and gives an empty dump
-    x = feature_matrix(dataset) if len(dataset) else np.empty((0, model.spec.input_dim))
+    x = dataset.matrix() if len(dataset) else np.empty((0, model.spec.input_dim))
     passes = mcd_passes(model, x, range(len(dataset)), config.passes, config.seed)
-    dists = PassStack(tuple(ex.id for ex in dataset.examples), passes)
+    dists = PassStack(dataset.ids, passes)
     validate_distribution(dists)  # an overflowing model writes no dump
     save_distributions(dists, out)
     print(f"wrote {len(dists)} distributions ({config.passes} passes each) to {out}")
@@ -264,7 +263,7 @@ def _cmd_decide(args) -> int:
     dataset = load_dataset(config.dataset)
     dists, _ = sentinel_distributions(config, dataset)
     thresholds = config.resolved_thresholds(dataset.class_count)
-    labels = [ex.label for ex in dataset.examples]
+    labels = dataset.labels.tolist()
     decisions = decide_all(config.policy, dists, labels, thresholds, config.label_mapping)
     save_decisions(decisions, out)
     flagged = sum(1 for d in decisions if d.verdict != "keep")
@@ -316,7 +315,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sdg_mask(args) -> int:
     out = _require(args, "out")
     dataset = load_dataset(args.dataset, expected_schema="tokens")
-    proposals = {ex.id: select_masks(ex.tokens, args.rule) for ex in dataset.examples}
+    proposals = {exid: select_masks(tokens, args.rule) for exid, tokens in zip(dataset.ids, dataset.tokens or ())}
     write_jsonl(out, ({"id": i, "proposals": [proposal_record(p) for p in ps]} for i, ps in proposals.items()))
     count = sum(map(len, proposals.values()))
     print(f"rule {args.rule}: {count} proposals over {len(dataset)} sentences -> {out}")

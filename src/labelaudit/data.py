@@ -2,11 +2,19 @@
 goes through ``read_json``/``read_jsonl`` and the atomic ``write_lines``.
 
 A dataset file is one JSON header line ``{"class_count": C, "class_names": [...]}``
-followed by one record per example.  A distribution file holds one
-``{"example_id": ..., "passes": [[...], ...]}`` record per line, all of one
-T x C shape, and loads as one ``PassStack``.  Writers sort
-keys and end every file with a newline.  All types are immutable after
-construction and safe to share across threads.
+followed by one record per example.  It loads as one columnar ``Dataset``:
+a tuple of ids, an int label column, an optional int gold column, and either
+an (n, d) float feature matrix or each example's tagged tokens.  Each line is
+still read as one ``LabeledExample`` record, located by file and line, and
+appended to the columns; ``Dataset.examples`` rebuilds such records as a view.
+Noise injection, gold stripping, fold subsets and cleaning derive new
+datasets that share the parent's feature matrix: a label column is replaced,
+the gold column dropped, or the examples picked by an index array.
+
+A distribution file holds one ``{"example_id": ..., "passes": [[...], ...]}``
+record per line, all of one T x C shape, and loads as one ``PassStack``.
+Writers sort keys and end every file with a newline.  All types are immutable
+after construction and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -14,7 +22,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -23,7 +31,9 @@ POS_TAGS = ("noun", "propn", "verb", "other")
 FEATURES = "features"
 TOKENS = "tokens"
 PROB_TOL = 1e-6
-_BLOCK_BYTES = 1 << 20  # size of the blocks a distribution dump is loaded into
+NO_GOLD = -1  # the gold column's entry for an example without a gold label
+# size of the blocks a distribution dump is loaded into and a feature matrix is written from
+_BLOCK_BYTES = 1 << 20
 
 
 class DataFormatError(ValueError):
@@ -50,7 +60,8 @@ class TaggedToken:
 
 @dataclass(frozen=True)
 class LabeledExample:
-    """A single labeled example carrying either a feature vector or tagged tokens.
+    """The record of one dataset line: an example carrying either a feature
+    vector or tagged tokens.  ``Dataset.examples`` yields them as a view.
 
     ``gold_label`` is benchmark-only ground truth; strip it (``Dataset.strip_gold``)
     before anything that makes decisions can see it.
@@ -77,14 +88,57 @@ class LabeledExample:
         return FEATURES if self.features is not None else TOKENS
 
 
-@dataclass(frozen=True)
+def _view(exid: str, label: int, features, tokens, gold: int) -> LabeledExample:
+    """A LabeledExample of already validated columns, skipping ``__post_init__``."""
+    ex = object.__new__(LabeledExample)
+    ex.__dict__.update(
+        id=exid, label=label, features=features, tokens=tokens, gold_label=None if gold == NO_GOLD else gold
+    )
+    return ex
+
+
+def _ints(values) -> np.ndarray:
+    """``values`` as an int64 array; ints beyond int64 stay Python ints (object
+    dtype), for validation to refuse by value."""
+    if isinstance(values, np.ndarray):
+        return values
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """n examples held as columns: ``ids``, read-only int ``labels``, an optional
+    int ``gold`` column (``NO_GOLD`` where an example has none), and either a
+    read-only float ``features`` matrix or the ``tokens`` of each example; a
+    header-only dataset has neither.
+
+    Example i's feature vector is ``features[i]``, or ``features[rows[i]]``
+    when ``rows`` is set: a ``subset`` keeps its parent's matrix and names
+    its rows, so no subset copies the matrix.  ``matrix`` gathers the vectors
+    of any examples.  Arrays are taken over, not copied, and made read-only.
+    The constructor validates every column at once; ``strip_gold``,
+    ``subset`` and ``with_labels`` derive a dataset from a validated one and
+    check only what they change.
+    """
+
     class_count: int
-    examples: tuple[LabeledExample, ...] = ()
+    ids: tuple[str, ...] = ()
+    labels: np.ndarray = ()
+    features: np.ndarray | None = None
+    tokens: tuple[tuple[TaggedToken, ...], ...] | None = None
+    gold: np.ndarray | None = None
     class_names: tuple[str, ...] | None = None
+    rows: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "examples", tuple(self.examples))
         if self.class_names is not None:
             object.__setattr__(self, "class_names", tuple(self.class_names))
         if self.class_count < 2:
@@ -93,67 +147,168 @@ class Dataset:
             raise DataFormatError(
                 f"class_names has {len(self.class_names)} entries for class_count {self.class_count}"
             )
-        seen: set[str] = set()
-        schema = None
-        dim = None
-        for ex in self.examples:
-            if ex.id in seen:
-                raise DataFormatError(f"duplicate example id {ex.id!r}")
-            seen.add(ex.id)
-            if not 0 <= ex.label < self.class_count:
-                raise DataFormatError(
-                    f"example {ex.id!r}: label {ex.label} out of range for class_count {self.class_count}"
-                )
-            if ex.gold_label is not None and not 0 <= ex.gold_label < self.class_count:
-                raise DataFormatError(
-                    f"example {ex.id!r}: gold_label {ex.gold_label} out of range"
-                )
-            if schema is None:
-                schema = ex.schema
-            elif ex.schema != schema:
-                raise DataFormatError(f"example {ex.id!r}: mixed schemas ({ex.schema} after {schema})")
-            if ex.features is not None:
-                if dim is None:
-                    dim = len(ex.features)
-                elif len(ex.features) != dim:
-                    raise DataFormatError(
-                        f"example {ex.id!r}: feature dimension {len(ex.features)} differs from {dim}"
-                    )
+        ids = tuple(self.ids)
+        object.__setattr__(self, "ids", ids)
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            for exid in ids:
+                if exid in seen:
+                    raise DataFormatError(f"duplicate example id {exid!r}")
+                seen.add(exid)
+        object.__setattr__(self, "labels", self._class_column(self.labels, "label", 0))
+        if self.gold is not None:
+            object.__setattr__(self, "gold", self._class_column(self.gold, "gold_label", NO_GOLD))
+        if self.features is not None and self.tokens is not None:
+            raise DataFormatError("a dataset holds exactly one of features/tokens")
+        if self.tokens is not None:
+            object.__setattr__(self, "tokens", tuple(self.tokens))
+            if len(self.tokens) != len(ids):
+                raise DataFormatError(f"{len(self.tokens)} token sequences for {len(ids)} ids")
+        elif self.features is not None:
+            features = np.asarray(self.features, dtype=float)
+            if features.ndim != 2:
+                raise DataFormatError(f"features must be an (n, d) matrix, got shape {features.shape}")
+            if len(features) != len(ids):
+                raise DataFormatError(f"{len(features)} feature rows for {len(ids)} ids")
+            object.__setattr__(self, "features", _read_only(features))
+        elif len(ids):
+            raise DataFormatError("examples need features or tokens")
+
+    def _class_column(self, values, name: str, low: int) -> np.ndarray:
+        """``values`` as a read-only int64 column with one entry per id, each in [low, class_count)."""
+        arr = _ints(values) if len(values) else np.empty(0, dtype=np.int64)
+        if arr.shape != (len(self.ids),) or arr.dtype.kind not in "iuO":
+            raise DataFormatError(f"{name} column must hold one integer per id, got {arr.dtype} {arr.shape}")
+        bad = np.flatnonzero((arr < low) | (arr >= self.class_count))
+        if bad.size:
+            j = bad[0]
+            limit = f" for class_count {self.class_count}" if name == "label" else ""
+            raise DataFormatError(f"example {self.ids[j]!r}: {name} {arr[j]} out of range{limit}")
+        return _read_only(arr.astype(np.int64, copy=False))
+
+    @classmethod
+    def from_examples(cls, class_count: int, examples: Iterable[LabeledExample], class_names=None) -> "Dataset":
+        """A dataset of per-example records, appended to columns one at a time."""
+        return _assemble(class_count, class_names, *_columns(examples))
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.ids)
 
-    def __iter__(self) -> Iterator[LabeledExample]:
-        return iter(self.examples)
+    @property
+    def examples(self) -> tuple[LabeledExample, ...]:
+        """The examples as records, built from the columns on each access without re-validation."""
+        if not self.ids:
+            return ()
+        golds = self.gold.tolist() if self.gold is not None else itertools.repeat(NO_GOLD)
+        if self.tokens is not None:
+            features, tokens = itertools.repeat(None), self.tokens
+        else:
+            features, tokens = map(tuple, self.matrix().tolist()), itertools.repeat(None)
+        return tuple(map(_view, self.ids, self.labels.tolist(), features, tokens, golds))
 
     @property
     def schema(self) -> str | None:
-        return self.examples[0].schema if self.examples else None
+        if self.features is not None:
+            return FEATURES
+        return TOKENS if self.tokens is not None else None
 
     @property
     def feature_dim(self) -> int | None:
-        if self.examples and self.examples[0].features is not None:
-            return len(self.examples[0].features)
-        return None
+        return self.features.shape[1] if self.features is not None else None
+
+    def matrix(self, positions=slice(None)) -> np.ndarray:
+        """The feature vectors of the examples at ``positions`` (all by default)
+        as one (len, d) matrix: a view of ``features`` when no gather is needed."""
+        if self.features is None:
+            raise DataFormatError("dataset does not carry feature vectors")
+        if self.rows is None:
+            return self.features[positions]
+        return self.features[self.rows[positions]]
+
+    def _derive(self, **columns) -> "Dataset":
+        """This dataset with ``columns`` replaced, unchecked: the caller derives them from validated ones."""
+        out = object.__new__(Dataset)
+        out.__dict__.update(self.__dict__, **columns)
+        return out
 
     def strip_gold(self) -> "Dataset":
-        """The policy-facing view: identical data with every gold_label removed."""
-        return Dataset(
-            self.class_count,
-            tuple(replace(ex, gold_label=None) for ex in self.examples),
-            self.class_names,
-        )
+        """The policy-facing view: the same columns without the gold column."""
+        return self._derive(gold=None)
+
+    def subset(self, positions) -> "Dataset":
+        """The examples at ``positions``, an int index array, in that order.
+        The feature matrix is shared, not copied."""
+        positions = np.asarray(positions, dtype=np.intp)
+        picked = positions.tolist()
+        columns: dict = {
+            "ids": tuple(self.ids[j] for j in picked),
+            "labels": _read_only(self.labels[positions]),
+        }
+        if self.gold is not None:
+            columns["gold"] = _read_only(self.gold[positions])
+        if self.tokens is not None:
+            columns["tokens"] = tuple(self.tokens[j] for j in picked)
+        elif self.features is not None:
+            columns["rows"] = _read_only(positions if self.rows is None else self.rows[positions])
+        return self._derive(**columns)
+
+    def with_labels(self, labels) -> "Dataset":
+        """The same examples under a new label column, which is validated."""
+        return self._derive(labels=self._class_column(labels, "label", 0))
+
+
+def _columns(examples: Iterable[LabeledExample]) -> tuple[list, ...]:
+    """Per-example records appended to columns: ids, labels, gold labels,
+    payloads (features or tokens) and whether each record carries features."""
+    ids, labels, golds, payloads, has_features = [], [], [], [], []
+    for ex in examples:
+        ids.append(ex.id)
+        labels.append(ex.label)
+        golds.append(ex.gold_label)
+        has_features.append(ex.features is not None)
+        payloads.append(ex.features if ex.features is not None else ex.tokens)
+    return ids, labels, golds, payloads, has_features
+
+
+def _assemble(class_count: int, class_names, ids, labels, golds, payloads, has_features) -> Dataset:
+    """A dataset of ``_columns`` output.  Records must share one schema and
+    feature dimension; the first record that breaks either is named.  A
+    negative gold label is refused here, since the column keeps ``NO_GOLD``
+    for a missing one."""
+    if not ids:
+        return Dataset(class_count, class_names=class_names)
+    schema, other = (FEATURES, TOKENS) if has_features[0] else (TOKENS, FEATURES)
+    if has_features.count(has_features[0]) != len(ids):
+        j = has_features.index(not has_features[0])
+        raise DataFormatError(f"example {ids[j]!r}: mixed schemas ({other} after {schema})")
+    gold = None
+    if golds.count(None) != len(ids):
+        negative = next((j for j, g in enumerate(golds) if g is not None and g < 0), None)
+        if negative is not None:
+            raise DataFormatError(f"example {ids[negative]!r}: gold_label {golds[negative]} out of range")
+        gold = _ints([NO_GOLD if g is None else g for g in golds])
+    if schema == TOKENS:
+        return Dataset(class_count, ids, _ints(labels), tokens=payloads, gold=gold, class_names=class_names)
+    dim = len(payloads[0])
+    for j, vector in enumerate(payloads):
+        if len(vector) != dim:
+            raise DataFormatError(f"example {ids[j]!r}: feature dimension {len(vector)} differs from {dim}")
+    features = np.array(payloads, dtype=float).reshape(len(ids), dim)
+    return Dataset(class_count, ids, _ints(labels), features, gold=gold, class_names=class_names)
 
 
 @dataclass(frozen=True, eq=False)
 class PredictiveDistribution:
-    """T stacked class-probability rows for one example, one per stochastic pass."""
+    """T stacked class-probability rows for one example, one per stochastic pass.
+
+    A float array is taken over, not copied, and made read-only, as ``PassStack`` takes one.
+    """
 
     example_id: str
     passes: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.passes, dtype=float)
+        arr = np.asarray(self.passes, dtype=float)
         if arr.ndim != 2:
             raise DataFormatError(f"distribution {self.example_id!r}: passes must be a T x C matrix")
         t, c = arr.shape
@@ -346,31 +501,41 @@ def load_dataset(path: str, expected_schema: str | None = None) -> Dataset:
     """Read a dataset file; every invariant is enforced before anything is returned.
 
     ``expected_schema`` pins the record kind (``"features"`` or ``"tokens"``);
-    ``None`` accepts either but still requires the file to be uniform.
+    ``None`` accepts either but still requires the file to be uniform.  Each
+    line is built and located as one ``LabeledExample`` record, then appended
+    to the columns.
     """
     rows = read_jsonl(path, lambda rec: _example_from_record(rec, expected_schema), _dataset_header)
     header = next(rows, None)
     if header is None:
         raise DataFormatError(f"{path}: empty file, missing header line")
-    examples = tuple(rows)
+    columns = _columns(rows)
     try:
-        return Dataset(header[0], examples, header[1])
+        return _assemble(header[0], header[1], *columns)
     except DataFormatError as err:
         raise located(path, err) from None
 
 
-def _example_record(ex: LabeledExample) -> dict:
-    rec: dict = {"id": ex.id, "label": ex.label}
-    if ex.features is not None:
-        rec["features"] = list(ex.features)
+def _token_record(t: TaggedToken) -> dict:
+    return {"text": t.text, "pos": t.pos, "is_compound_head": t.is_compound_head, "is_entity": t.is_entity}
+
+
+def _example_records(dataset: Dataset) -> Iterator[dict]:
+    """One record per example, in order; feature rows become lists a block at a time."""
+    n = len(dataset)
+    if dataset.tokens is not None:
+        key, blocks = "tokens", [(list(map(_token_record, tokens)) for tokens in dataset.tokens)]
     else:
-        rec["tokens"] = [
-            {"text": t.text, "pos": t.pos, "is_compound_head": t.is_compound_head, "is_entity": t.is_entity}
-            for t in ex.tokens
-        ]
-    if ex.gold_label is not None:
-        rec["gold_label"] = ex.gold_label
-    return rec
+        step = max(1, _BLOCK_BYTES // (8 * max(1, dataset.feature_dim or 1)))
+        key, blocks = "features", (dataset.matrix(slice(lo, lo + step)).tolist() for lo in range(0, n, step))
+    golds = dataset.gold.tolist() if dataset.gold is not None else itertools.repeat(NO_GOLD, n)
+    for exid, label, payload, gold in zip(
+        dataset.ids, dataset.labels.tolist(), itertools.chain.from_iterable(blocks), golds
+    ):
+        rec = {"id": exid, "label": label, key: payload}
+        if gold != NO_GOLD:
+            rec["gold_label"] = gold
+        yield rec
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
@@ -378,7 +543,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     header: dict = {"class_count": dataset.class_count}
     if dataset.class_names is not None:
         header["class_names"] = list(dataset.class_names)
-    write_jsonl(path, itertools.chain((header,), map(_example_record, dataset.examples)))
+    write_jsonl(path, itertools.chain((header,), _example_records(dataset)))
 
 
 def load_distributions(path: str) -> PassStack:
@@ -423,13 +588,3 @@ def load_distributions(path: str) -> PassStack:
 def save_distributions(dists: Iterable[PredictiveDistribution], path: str) -> None:
     write_jsonl(path, ({"example_id": d.example_id, "passes": d.passes.tolist()} for d in dists))
 
-
-def feature_matrix(dataset: Dataset) -> np.ndarray:
-    """Stack the dataset's feature vectors into an (n, d) array."""
-    if dataset.schema != FEATURES:
-        raise DataFormatError("dataset does not carry feature vectors")
-    return np.array([ex.features for ex in dataset.examples], dtype=float)
-
-
-def label_vector(dataset: Dataset) -> np.ndarray:
-    return np.array([ex.label for ex in dataset.examples], dtype=int)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, PredictiveDistribution, feature_matrix, label_vector, read_json, write_json
+from .data import Dataset, PredictiveDistribution, read_json, write_json
 from .seeding import _MASK64, checked_words, generator, pass_seed_words, words_generator
 
 CHECKPOINT_FORMAT = "labelaudit-model-v1"
@@ -183,15 +183,18 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> Model:
     Epoch shuffles come from stream 1 of ``config.seed`` and dropout masks from
     stream 2 (one mask entry per example per hidden unit), so identical inputs
     and seed reproduce the final weights bit-for-bit.  ``epochs == 0`` returns
-    the model unchanged.
+    the model unchanged.  Each batch is gathered from the dataset's feature
+    matrix, so a subset is never copied whole.
     """
-    if not dataset.examples:
+    if not len(dataset):
         raise ValueError("cannot train on an empty dataset")
-    x = feature_matrix(dataset)
-    y = label_vector(dataset)
+    dim = dataset.feature_dim
+    if dim is None:
+        raise ValueError("the dataset has no feature vectors")
+    y = dataset.labels
     spec = model.spec
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(f"feature dimension {x.shape[1]} does not match input_dim {spec.input_dim}")
+    if dim != spec.input_dim:
+        raise ValueError(f"feature dimension {dim} does not match input_dim {spec.input_dim}")
     if int(y.max()) >= spec.class_count:
         raise ValueError(f"label {int(y.max())} out of range for class_count {spec.class_count}")
     if config.epochs == 0:
@@ -214,7 +217,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> Model:
                     (mask_rng.random((len(idx), width)) >= p) / keep
                     for width in spec.hidden_dims
                 ]
-            g_w, g_b = _gradients(weights, biases, x[idx], y[idx], masks)
+            g_w, g_b = _gradients(weights, biases, dataset.matrix(idx), y[idx], masks)
             for layer in range(len(weights)):
                 weights[layer] -= lr * g_w[layer]
                 biases[layer] -= lr * g_b[layer]
@@ -270,14 +273,18 @@ def mcd_predict(
         for t in range(t_count):
             words_generator(words[t]).random(out=draws[t, 0])
         scaled = (draws >= p) / (1.0 - p)
-        edges = np.cumsum((0, *model.spec.hidden_dims))
-        masks = [scaled[..., lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+        masks, lo = [], 0
+        for width in model.spec.hidden_dims:
+            masks.append(scaled[..., lo : lo + width])
+            lo += width
     # a (1, 1, d) input broadcasts against the (T, 1, h) masks, so each later
     # layer runs every pass's 1-row product inside one matmul call; a 2-D
     # (T, h) batch would go through gemm and round differently
     logits = _forward(model.weights, model.biases, x[None, None, :], masks)[2]
     probs = _softmax(logits)[:, 0]
-    return PredictiveDistribution(example_id, np.broadcast_to(probs, (t_count, probs.shape[-1])))
+    if masks is None:  # one unmasked row stands for every pass
+        probs = np.broadcast_to(probs, (t_count, probs.shape[-1]))
+    return PredictiveDistribution(example_id, probs)
 
 
 def save_model(model: Model, path: str) -> None:

@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, LabeledExample, read_json, write_json
+from .data import NO_GOLD, Dataset, read_json, write_json
 from .policy import OVERWRITE, REMOVE
 from .seeding import generator
 
@@ -75,7 +75,9 @@ def make_blobs(n: int, dim: int, class_count: int, centers, spread: float, seed:
     """Isotropic Gaussian blobs with label == gold_label == generating class.
 
     Class c receives floor(n/C) examples plus one extra for the first n mod C
-    classes.  ``spread`` 0 collapses every example onto its center.
+    classes.  ``spread`` 0 collapses every example onto its center.  Each
+    class's normal draws land in its block of rows of one feature matrix;
+    the label and gold columns share one array.
     """
     centers = [tuple(float(v) for v in c) for c in centers]
     if len(centers) != class_count:
@@ -84,23 +86,17 @@ def make_blobs(n: int, dim: int, class_count: int, centers, spread: float, seed:
         raise ValueError(f"every center must have dimension {dim}")
     if spread < 0:
         raise ValueError("spread must be >= 0")
+    counts = [n // class_count + (1 if cls < n % class_count else 0) for cls in range(class_count)]
     rng = generator(seed, 0)
-    examples = []
-    index = 0
-    for cls in range(class_count):
-        count = n // class_count + (1 if cls < n % class_count else 0)
-        points = rng.normal(loc=0.0, scale=spread, size=(count, dim)) + np.array(centers[cls])
-        for row in points:
-            examples.append(
-                LabeledExample(
-                    id=f"ex{index:05d}",
-                    label=cls,
-                    features=tuple(float(v) for v in row),
-                    gold_label=cls,
-                )
-            )
-            index += 1
-    return Dataset(class_count, tuple(examples))
+    features = np.empty((n, dim))
+    lo = 0
+    for cls, count in enumerate(counts):
+        points = rng.normal(loc=0.0, scale=spread, size=(count, dim))
+        np.add(points, np.array(centers[cls]), out=features[lo : lo + count])
+        lo += count
+    labels = np.repeat(np.arange(class_count), counts)
+    ids = tuple(f"ex{index:05d}" for index in range(n))
+    return Dataset(class_count, ids, labels, features, gold=labels)
 
 
 def inject_noise(dataset: Dataset, spec: NoiseSpec):
@@ -109,12 +105,12 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec):
     Symmetric noise draws the new label uniformly from the other classes;
     asymmetric noise draws from the transition row of the original label (rows
     of all zeros exempt a class from selection).  Gold labels are untouched and
-    the returned mask records exactly the flipped set.
+    the returned mask records exactly the flipped set.  The noisy dataset
+    replaces the label column and shares every other one.
     """
-    examples = list(dataset.examples)
-    if any(ex.gold_label is None for ex in examples):
+    if dataset.gold is None or (dataset.gold == NO_GOLD).any():
         raise ValueError("noise injection needs gold labels on every example")
-    n = len(examples)
+    n = len(dataset)
     # epsilon guards the count against binary representation of the rate
     count = math.floor(spec.rate * n + 1e-9)
     class_count = dataset.class_count
@@ -124,31 +120,28 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec):
         )
     rng = generator(spec.seed, 0)
     if spec.kind == "asymmetric":
-        eligible = [
-            j for j, ex in enumerate(examples) if sum(spec.transition[ex.label]) > 0.0
-        ]
+        selectable = np.array([sum(row) > 0.0 for row in spec.transition])
+        eligible = np.flatnonzero(selectable[dataset.labels])
     else:
-        eligible = list(range(n))
+        eligible = np.arange(n)
     if count > len(eligible):
         raise ValueError(
             f"cannot corrupt {count} examples: only {len(eligible)} are eligible"
         )
-    chosen = sorted(rng.choice(len(eligible), size=count, replace=False).tolist())
+    chosen = np.sort(rng.choice(len(eligible), size=count, replace=False))
+    labels = dataset.labels.tolist()
     corrupted: dict[str, int] = {}
-    for pick in chosen:
-        j = eligible[pick]
-        ex = examples[j]
-        old = ex.label
+    for j in eligible[chosen].tolist():
+        old = labels[j]
         if spec.kind == "symmetric":
             others = [c for c in range(class_count) if c != old]
             new = others[int(rng.integers(len(others)))]
         else:
             row = np.array(spec.transition[old])
             new = int(rng.choice(class_count, p=row / row.sum()))
-        examples[j] = replace(ex, label=new)
-        corrupted[ex.id] = old
-    noisy = Dataset(class_count, tuple(examples), dataset.class_names)
-    return noisy, NoiseMask(frozenset(corrupted), corrupted)
+        labels[j] = new
+        corrupted[dataset.ids[j]] = old
+    return dataset.with_labels(labels), NoiseMask(frozenset(corrupted), corrupted)
 
 
 def detection_scores(decisions, mask: NoiseMask) -> DetectionReport:

@@ -27,9 +27,8 @@ from .data import (
     RECORD_ERRORS,
     DataFormatError,
     Dataset,
+    NO_GOLD,
     PassStack,
-    feature_matrix,
-    label_vector,
     load_dataset,
     located,
     read_json,
@@ -435,7 +434,7 @@ def sentinel_distributions(config: PipelineConfig, dataset: Dataset, dev: bool =
         raise ValueError("external sentinel needs a distribution dump for this dataset")
     mapping = config.label_mapping
     width = len(mapping.roles) if mapping is not None else dataset.class_count
-    return ingest_external_dump(dump, config.passes, width, [ex.id for ex in dataset.examples]), None
+    return ingest_external_dump(dump, config.passes, width, dataset.ids), None
 
 
 def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
@@ -447,7 +446,7 @@ def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
     """
     if not config.sweep:
         raise ValueError("config carries no sweep grid")
-    if not clean_dev.examples or any(ex.gold_label is None for ex in clean_dev.examples):
+    if not len(clean_dev) or clean_dev.gold is None or (clean_dev.gold == NO_GOLD).any():
         raise ValueError("sweep needs a non-empty dev set with gold labels")
     grid = grid_fields(config.policy)
     unknown = set(config.sweep) - set(grid)
@@ -455,8 +454,8 @@ def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
         raise ValueError(f"sweep grid names unknown fields {sorted(unknown)} for policy {config.policy!r}")
     base = thresholds_to_section(config.resolved_thresholds(clean_dev.class_count))
     axes = [sorted(set(float(v) for v in config.sweep.get(f, [base[f]]))) for f in grid]
-    truth = [ex.label != ex.gold_label for ex in clean_dev.examples]
-    labels = [ex.label for ex in clean_dev.examples]
+    truth = (clean_dev.labels != clean_dev.gold).tolist()
+    labels = clean_dev.labels.tolist()
     dists, _ = sentinel_distributions(config, clean_dev, dev=True)
     total_bad = sum(truth)
     table = []
@@ -496,15 +495,12 @@ def _fit(spec: ModelSpec, train_cfg: TrainConfig, seed: int, dataset: Dataset) -
 
 
 def evaluate(model: Model, test: Dataset) -> dict:
-    probs = predict_batch(model, feature_matrix(test))
-    labels = label_vector(test)
+    probs = predict_batch(model, test.matrix())
+    labels = test.labels
     accuracy = float(np.mean(probs.argmax(axis=1) == labels))
     out = {"accuracy": accuracy}
     if test.class_count == 2:
-        preds = [
-            ScoredPrediction(ex.id, float(probs[i, 1]), int(labels[i]))
-            for i, ex in enumerate(test.examples)
-        ]
+        preds = list(map(ScoredPrediction, test.ids, probs[:, 1].tolist(), labels.tolist()))
         out.update(classification_metrics(preds, 0.5))
     return out
 
@@ -562,7 +558,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         dists, fold_assignment = sentinel_distributions(config, working)
 
     with _stage("decide"):
-        labels = [ex.label for ex in working.examples]
+        labels = working.labels.tolist()
         decisions = decide_all(config.policy, dists, labels, thresholds, config.label_mapping)
         # decisions are the audit trail; persist them before anything is applied.
         # The output directory appears with this first write, so a run that

@@ -8,7 +8,9 @@ gold labels.
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
+
+import numpy as np
 
 from .data import Dataset, PredictiveDistribution, read_jsonl, write_jsonl
 from .uncertainty import UncertaintySummary, ordinal_quantile
@@ -173,7 +175,9 @@ def apply_decisions(dataset: Dataset, decisions, mode: str):
 
     Undecided examples pass through.  ``filter_only`` mode rejects Overwrite
     decisions outright.  The returned counts satisfy kept + removed == input
-    size, with overwritten counted inside kept.
+    size, with overwritten counted inside kept.  The cleaned dataset replaces
+    the label column and picks the kept examples by an index array; it shares
+    the input's feature matrix.
     """
     if mode not in APPLY_MODES:
         raise ValueError(f"unknown apply mode {mode!r}, expected one of {APPLY_MODES}")
@@ -182,29 +186,30 @@ def apply_decisions(dataset: Dataset, decisions, mode: str):
         if d.example_id in by_id:
             raise ValueError(f"duplicate decision for example {d.example_id!r}")
         by_id[d.example_id] = d
-    known = {ex.id for ex in dataset.examples}
-    unknown = set(by_id) - known
+    position = {exid: j for j, exid in enumerate(dataset.ids)}
+    unknown = set(by_id) - set(position)
     if unknown:
         raise ValueError(f"decision for unknown example {sorted(unknown)[0]!r}")
-    kept = removed = overwritten = 0
-    out = []
-    for ex in dataset.examples:
-        decision = by_id.get(ex.id)
-        if decision is None or decision.verdict == KEEP:
-            out.append(ex)
-            kept += 1
-        elif decision.verdict == REMOVE:
-            removed += 1
-        else:
-            if mode == FILTER_ONLY:
-                raise ValueError(f"overwrite decision for {ex.id!r} not allowed in filter_only mode")
-            if decision.new_label == ex.label:
-                raise ValueError(f"overwrite for {ex.id!r} does not change the label")
-            out.append(replace(ex, label=decision.new_label))
-            kept += 1
-            overwritten += 1
-    cleaned = Dataset(dataset.class_count, tuple(out), dataset.class_names)
-    return cleaned, ApplyReport(kept=kept, removed=removed, overwritten=overwritten)
+    removed = np.zeros(len(dataset), dtype=bool)
+    overwrites = []  # (position, new label)
+    for d in by_id.values():
+        if d.verdict == REMOVE:
+            removed[position[d.example_id]] = True
+        elif d.verdict == OVERWRITE:
+            overwrites.append((position[d.example_id], d.new_label))
+    overwrites.sort()
+    labels = dataset.labels.tolist()
+    for j, new_label in overwrites:
+        if mode == FILTER_ONLY:
+            raise ValueError(f"overwrite decision for {dataset.ids[j]!r} not allowed in filter_only mode")
+        if new_label == labels[j]:
+            raise ValueError(f"overwrite for {dataset.ids[j]!r} does not change the label")
+        labels[j] = new_label
+    cleaned = dataset.with_labels(labels) if overwrites else dataset
+    if removed.any():
+        cleaned = cleaned.subset(np.flatnonzero(~removed))
+    report = ApplyReport(kept=len(cleaned), removed=int(removed.sum()), overwritten=len(overwrites))
+    return cleaned, report
 
 
 def rule_histogram(decisions) -> dict[str, int]:

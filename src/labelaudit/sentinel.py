@@ -14,14 +14,13 @@ from .data import (
     Dataset,
     PassStack,
     PredictiveDistribution,
-    feature_matrix,
     load_distributions,
     located,
     read_json,
     validate_distribution,
 )
 from .mlp import Model, ModelSpec, TrainConfig, init_model, mcd_predict, train
-from .seeding import generator, mix64, pass_seed_words
+from .seeding import _MASK64, _mix64_array, generator, mix64, pass_seed_words
 
 SUPPORTS_POSITIVE = "supports_positive"
 SUPPORTS_NEGATIVE = "supports_negative"
@@ -78,10 +77,12 @@ def mcd_passes(model: Model, features, rows: Sequence[int], t_count: int, seed: 
     example ``rows[i]``.
 
     Example j is seeded ``mix64(seed, 1 + j)`` and runs one ``mcd_predict``
-    call; the seed words of all the rows' passes come from one
-    ``pass_seed_words`` call.
+    call; the seeds of all the rows come from one ``_mix64_array`` call, and
+    the seed words of all their passes from one ``pass_seed_words`` call.
     """
-    words = pass_seed_words(np.array([mix64(seed, 1 + j) for j in rows], dtype=np.uint64), t_count)
+    streams = np.asarray(rows, dtype=np.uint64) + np.uint64(1)
+    seeds = _mix64_array(np.array([seed & _MASK64], dtype=np.uint64), streams)
+    words = pass_seed_words(seeds, t_count)
     passes = np.empty((len(rows), t_count, model.spec.class_count))
     for i, j in enumerate(rows):
         passes[i] = mcd_predict(model, features[j], t_count, words[i]).passes
@@ -99,7 +100,8 @@ def build_cv_sentinel(
     """Out-of-fold stochastic predictions for every example.
 
     Examples are shuffled by ``seed`` into k folds whose sizes differ by at most
-    one; for each fold a model is trained on the complement (init and SGD seeded
+    one; for each fold a model is trained on the complement, a subset that
+    shares the dataset's feature matrix (init and SGD seeded
     ``mix64(train_config.seed, fold)``) and runs ``t_count`` stochastic passes on
     the held-out examples through ``mcd_passes`` (example at original position
     j seeded ``mix64(seed, 1 + j)``).  No model ever sees the label of an
@@ -109,7 +111,7 @@ def build_cv_sentinel(
 
     Returns (PassStack in dataset order, FoldAssignment).
     """
-    n = len(dataset.examples)
+    n = len(dataset)
     if k < 2:
         raise ValueError("fold count k must be >= 2")
     if n < k:
@@ -118,30 +120,21 @@ def build_cv_sentinel(
         raise ValueError("t_count must be >= 1")
     order = generator(seed, 0).permutation(n)
     fold = np.empty(n, dtype=int)
-    for shuffled_pos, original in enumerate(order):
-        fold[original] = shuffled_pos % k
-    x = feature_matrix(dataset)
+    fold[order] = np.arange(n) % k
+    x = dataset.matrix()
     passes = np.empty((n, t_count, model_spec.class_count))
     for f in range(k):
-        train_subset = Dataset(
-            dataset.class_count,
-            tuple(ex for j, ex in enumerate(dataset.examples) if fold[j] != f),
-            dataset.class_names,
-        )
         fold_seed = mix64(train_config.seed, f)
         model = init_model(model_spec, fold_seed)
-        fitted = train(model, train_subset, replace(train_config, seed=fold_seed))
+        fitted = train(model, dataset.subset(np.flatnonzero(fold != f)), replace(train_config, seed=fold_seed))
         held_out = np.flatnonzero(fold == f)
-        passes[held_out] = mcd_passes(fitted, x, held_out.tolist(), t_count, seed)
-    stack = PassStack(tuple(ex.id for ex in dataset.examples), passes)
+        passes[held_out] = mcd_passes(fitted, x, held_out, t_count, seed)
+    stack = PassStack(dataset.ids, passes)
     try:
         validate_distribution(stack)
     except DataFormatError as err:  # the model's fault, not the input's
         raise ValueError(f"sentinel output is not a probability distribution: {err}") from None
-    assignment = FoldAssignment(
-        {ex.id: int(fold[j]) for j, ex in enumerate(dataset.examples)}, k
-    )
-    return stack, assignment
+    return stack, FoldAssignment(dict(zip(dataset.ids, fold.tolist())), k)
 
 
 def ingest_external_dump(path: str, expected_t: int, expected_c: int, ids: Sequence[str]) -> PassStack:

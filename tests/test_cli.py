@@ -558,3 +558,34 @@ def test_each_command_reads_the_mapping_once(tmp_path, monkeypatch, command):
     flags += ["--mapping", str(mapping), "--out", str(tmp_path / "out")]
     assert main([command, *argv, *flags]) == 0
     assert reads == [str(mapping)]
+
+
+@pytest.mark.parametrize(
+    "record, where, message",
+    [
+        ('{"id": "a", "label": 1, "features": [2.0]}', "", "duplicate example id 'a'"),
+        ('{"id": "b", "label": 2, "features": [2.0]}', "", "example 'b': label 2 out of range for class_count 2"),
+        (
+            '{"id": "b", "label": 1180591620717411303424, "features": [2.0]}',
+            "",
+            "example 'b': label 1180591620717411303424 out of range for class_count 2",
+        ),
+        ('{"id": "b", "label": 1, "gold_label": 5, "features": [2.0]}', "", "example 'b': gold_label 5 out of range"),
+        ('{"id": "b", "label": 1, "gold_label": -1, "features": [2.0]}', "", "example 'b': gold_label -1 out of range"),
+        (
+            '{"id": "b", "label": 1, "tokens": [{"text": "hi", "pos": "other"}]}',
+            "",
+            "example 'b': mixed schemas (tokens after features)",
+        ),
+        ('{"id": "b", "label": 1, "features": [2.0, 3.0]}', "", "example 'b': feature dimension 2 differs from 1"),
+        ('{"id": "b", "label": 1, "features": [NaN]}', ": line 3", "features must be finite numbers"),
+        ('{"id": "b", "label": 1, "features": [Infinity]}', ": line 3", "features must be finite numbers"),
+    ],
+)
+def test_dataset_refusals_keep_their_message_and_location(tmp_path, capsys, record, where, message):
+    data = tmp_path / "data.jsonl"
+    data.write_text('{"class_count": 2}\n{"id": "a", "label": 0, "gold_label": 0, "features": [1.0]}\n' + record + "\n")
+    out = tmp_path / "noisy.jsonl"
+    assert main(["inject-noise", "--dataset", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {data}{where}: {message}\n"
+    assert not out.exists()

@@ -124,8 +124,8 @@ def test_train_rejects_empty_and_mismatched_data():
     spec = ModelSpec(2, (4,), 2)
     model = init_model(spec, 0)
     with pytest.raises(ValueError):
-        train(model, Dataset(2, ()), TrainConfig(0.1, 1, 8, seed=0))
-    bad = Dataset(2, (LabeledExample("a", 0, features=(1.0, 2.0, 3.0)),))
+        train(model, Dataset(2), TrainConfig(0.1, 1, 8, seed=0))
+    bad = Dataset.from_examples(2, (LabeledExample("a", 0, features=(1.0, 2.0, 3.0)),))
     with pytest.raises(ValueError):
         train(model, bad, TrainConfig(0.1, 1, 8, seed=0))
 

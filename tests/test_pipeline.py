@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from labelaudit import pipeline, sentinel
@@ -296,7 +297,7 @@ def _sweep_fixture(tmp_path, rng):
         LabeledExample("e2", 0, features=(2.0, 0.0), gold_label=0),
         LabeledExample("e3", 0, features=(3.0, 0.0), gold_label=1),  # corrupted negative
     )
-    dev = Dataset(2, examples)
+    dev = Dataset.from_examples(2, examples)
     mean_pos = {"e0": 0.2, "e1": 0.8, "e2": 0.1, "e3": 0.9}
     dists = [
         PredictiveDistribution(ex.id, [[1 - mean_pos[ex.id], mean_pos[ex.id]]] * 5)
@@ -443,3 +444,53 @@ def test_readme_configs_load():
     assert len(blocks) >= 4
     for block in blocks:
         config_from_dict(json.loads(block))
+
+
+def test_stock_benchmark_run_builds_no_records_and_shares_every_feature_matrix(tmp_path, monkeypatch):
+    # the work-count contract for the data layer: a benchmark run holds its
+    # examples as columns only, and no derived dataset copies a feature matrix
+    from labelaudit.data import Dataset, LabeledExample
+
+    records, views, stripped, folds, applied = [], [], [], [], []
+    record_init, examples, strip_gold = LabeledExample.__init__, Dataset.examples, Dataset.strip_gold
+    sentinel_train, apply_decisions = sentinel.train, pipeline.apply_decisions
+
+    def counted_init(self, *args, **kwargs):
+        records.append(args)
+        record_init(self, *args, **kwargs)
+
+    def counted_examples(self):
+        views.append(self)
+        return examples.fget(self)
+
+    def recorded_strip_gold(self):
+        stripped.append((self, strip_gold(self)))
+        return stripped[-1][1]
+
+    def recorded_train(model, dataset, config):
+        folds.append(dataset)
+        return sentinel_train(model, dataset, config)
+
+    def recorded_apply(dataset, decisions, mode):
+        cleaned, report = apply_decisions(dataset, decisions, mode)
+        applied.append((dataset, cleaned))
+        return cleaned, report
+
+    monkeypatch.setattr(LabeledExample, "__init__", counted_init)
+    monkeypatch.setattr(Dataset, "examples", property(counted_examples))
+    monkeypatch.setattr(Dataset, "strip_gold", recorded_strip_gold)
+    monkeypatch.setattr(sentinel, "train", recorded_train)
+    monkeypatch.setattr(pipeline, "apply_decisions", recorded_apply)
+    config = default_benchmark_config("symmetric", seed=4, out_dir=str(tmp_path / "out"))
+    result = run_pipeline(config)
+
+    assert records == [] and views == []
+    assert len(stripped) == 2  # the dev split's sentinel and the training split's
+    for source, view in stripped:
+        assert view.gold is None and np.shares_memory(view.features, source.features)
+    assert len(folds) == 2 * config.folds
+    for fold in folds:
+        assert any(np.shares_memory(fold.features, view.features) for _, view in stripped)
+    ((working, cleaned),) = applied
+    assert np.shares_memory(cleaned.features, working.features)
+    assert np.shares_memory(result.cleaned.features, working.features)

@@ -152,7 +152,7 @@ def test_quantile_threshold_validation():
 
 
 def _dataset(n, label=1):
-    return Dataset(
+    return Dataset.from_examples(
         2,
         tuple(
             LabeledExample(id=f"x{i}", label=label, features=(float(i),)) for i in range(n)

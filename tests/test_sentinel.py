@@ -8,13 +8,12 @@ from labelaudit.data import (
     DataFormatError,
     PassStack,
     PredictiveDistribution,
-    feature_matrix,
     load_distributions,
     save_distributions,
 )
 from labelaudit.mlp import ModelSpec, TrainConfig, init_model, mcd_predict
 from labelaudit.noisebench import make_blobs
-from labelaudit.seeding import mix64
+from labelaudit.seeding import generator, mix64
 from labelaudit.sentinel import (
     LabelSpaceMapping,
     build_cv_sentinel,
@@ -233,7 +232,7 @@ def test_cv_sentinel_derives_seed_words_once_per_fold(monkeypatch):
 def test_mcd_passes_seed_example_j_from_mix64_of_its_position():
     ds = make_blobs(9, 2, 2, [(-2, 0), (2, 0)], 1.0, 4)
     model = init_model(SPEC, 3)
-    x = feature_matrix(ds)
+    x = ds.features
     rows = [7, 0, 4]
     got = sentinel.mcd_passes(model, x, rows, 5, seed=11)
     for i, j in enumerate(rows):
@@ -260,3 +259,27 @@ def test_evidence_mass_bounds(t, seed):
     ev = map_to_evidence(PredictiveDistribution("a", rows), NLI_STYLE)
     assert np.all(ev >= 0.0) and np.all(ev <= 1.0)
     assert np.all(ev.sum(axis=1) <= 1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("n, k, seed", [(5, 2, 0), (14, 3, 2), (101, 7, 99), (240, 5, 2**64 - 1), (30, 4, -5)])
+def test_fold_assignment_and_seeds_match_the_per_example_loop(monkeypatch, n, k, seed):
+    order = generator(seed, 0).permutation(n)
+    fold = np.empty(n, dtype=int)
+    for shuffled_pos, original in enumerate(order):
+        fold[original] = shuffled_pos % k
+    seen = []
+    pass_seed_words = sentinel.pass_seed_words
+
+    def recorded(seeds, t_count):
+        seen.append(np.array(seeds))
+        return pass_seed_words(seeds, t_count)
+
+    monkeypatch.setattr(sentinel, "pass_seed_words", recorded)
+    ds = make_blobs(n, 2, 2, [(-2, 0), (2, 0)], 1.0, 4)
+    _, assignment = build_cv_sentinel(ds, k, SPEC, TrainConfig(0.2, 1, 16, seed=5), 2, seed)
+    assert assignment.fold_of == {exid: int(f) for exid, f in zip(ds.ids, fold)}
+    assert len(seen) == k
+    for f, seeds in enumerate(seen):
+        held_out = np.flatnonzero(fold == f).tolist()
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [mix64(seed, 1 + j) for j in held_out]

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelaudit.data import PredictiveDistribution, save_distributions
-from labelaudit.mlp import ModelSpec, TrainConfig, init_model
+from labelaudit.data import PredictiveDistribution, load_dataset, save_dataset, save_distributions
+from labelaudit.mlp import ModelSpec, TrainConfig, init_model, train
 from labelaudit.noisebench import make_blobs
+from labelaudit.policy import REMOVE, Decision, apply_decisions
 from labelaudit.sentinel import build_cv_sentinel, load_distributions, mcd_predict
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -76,3 +77,29 @@ def test_cv_sentinel_records_one_mcd_predict_span_per_example(tracing):
     stat = tracer.stat("mlp.mcd_predict", root=None)
     assert (stat.calls, stat.units) == (14, 14 * 6)
     assert tracer.no_units == set()
+
+
+def test_dataset_work_units_read_from_columns(tracing, tmp_path):
+    dataset = make_blobs(12, 2, 2, [(-2, 0), (2, 0)], 1.0, 3)
+    config = TrainConfig(0.2, 3, 8, seed=1)
+    args = (init_model(ModelSpec(2, (4,), 2), 0), dataset.subset(np.arange(9)), config)
+    assert _units(tracing, "mlp.train", args, train(*args)) == 9 * 3
+    path = str(tmp_path / "data.jsonl")
+    save_dataset(dataset, path)
+    assert _units(tracing, "data.save_dataset", (dataset, path), None) == 12
+    loaded = load_dataset(path)
+    assert _units(tracing, "data.load_dataset", (path,), loaded) == 12
+    args = (loaded, [Decision("ex00003", REMOVE)], "filter_only")
+    assert _units(tracing, "policy.apply_decisions", args, apply_decisions(*args)) == 12
+
+
+def test_a_traced_call_records_strip_gold(tracing):
+    dataset = make_blobs(6, 2, 2, [(-2, 0), (2, 0)], 1.0, 3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        stripped = dataset.strip_gold()
+    finally:
+        tracer.uninstall()
+    assert stripped.gold is None
+    assert tracer.stat("data.strip_gold", root=None).calls == 1
