@@ -59,6 +59,7 @@ from .pipeline import (
 from .policy import (
     ApplyReport,
     Decision,
+    Decisions,
     FilterThresholds,
     OverwriteThresholds,
     QuantileThresholds,

@@ -266,7 +266,7 @@ def _cmd_decide(args) -> int:
     labels = dataset.labels.tolist()
     decisions = decide_all(config.policy, dists, labels, thresholds, config.label_mapping)
     save_decisions(decisions, out)
-    flagged = sum(1 for d in decisions if d.verdict != "keep")
+    flagged = int(np.count_nonzero(decisions.flagged))
     print(f"decided {len(decisions)} examples, flagged {flagged} -> {out}")
     return 0
 

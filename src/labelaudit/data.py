@@ -32,8 +32,14 @@ FEATURES = "features"
 TOKENS = "tokens"
 PROB_TOL = 1e-6
 NO_GOLD = -1  # the gold column's entry for an example without a gold label
-# size of the blocks a distribution dump is loaded into and a feature matrix is written from
+# size of the blocks a distribution dump is loaded into
 _BLOCK_BYTES = 1 << 20
+# size of the blocks a feature matrix is written from: each becomes Python
+# floats, about four times its size, at once
+_WRITE_BLOCK_BYTES = 1 << 16
+# the JSON values that count as numbers; json gives str, bool and None for
+# the others, which float() and numpy would still turn into floats
+_NUMBER_TYPES = frozenset((int, float))
 
 
 class DataFormatError(ValueError):
@@ -393,12 +399,13 @@ def validate_distribution(dists: PassStack | PredictiveDistribution) -> None:
     )
 
 
-RECORD_ERRORS = (KeyError, TypeError, ValueError)
+RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def located(where: str, err: Exception) -> DataFormatError:
-    """The location rule: a missing field (``KeyError``) or a wrongly typed value
-    (``TypeError``/``ValueError``) raised while a record is built becomes a
+    """The location rule: a missing field (``KeyError``), a wrongly typed value
+    (``TypeError``/``ValueError``) or an integer too large for a float
+    (``OverflowError``) raised while a record is built becomes a
     DataFormatError prefixed with ``where``: a file name, ``"<path>: line <n>"``
     or a config section."""
     detail = f"missing field {err}" if isinstance(err, KeyError) else str(err)
@@ -426,17 +433,18 @@ def read_json(path: str, build: Callable = dict):
 
 def read_jsonl(path: str, build: Callable, header: Callable | None = None) -> Iterator:
     """``build`` applied to the JSON object on each non-blank line (``header`` to the
-    first, when given), under the location rule with one handler per file."""
-    where = path
+    first, when given), under the location rule with one handler per file: a
+    failure is located at the last non-blank line read, or at the file before one."""
+    current = 0  # the last non-blank line read
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
-                    where = f"{path}: line {lineno}"
+                    current = lineno
                     yield (header or build)(_parse_object(line))
                     header = None
     except RECORD_ERRORS as err:
-        raise located(where, err) from None
+        raise located(f"{path}: line {current}" if current else path, err) from None
 
 
 def write_lines(path: str, lines: Iterable[str]) -> None:
@@ -467,6 +475,12 @@ def write_jsonl(path: str, records: Iterable[dict]) -> None:
     write_lines(path, (encode(rec) + "\n" for rec in records))
 
 
+def _not_numbers(what: str, values) -> DataFormatError:
+    """The error for ``values`` of which the caller found one not a JSON number."""
+    bad = next(v for v in values if type(v) not in _NUMBER_TYPES)
+    return DataFormatError(f"{what} must be numbers, got {bad!r}")
+
+
 def _dataset_header(rec: dict) -> tuple[int, tuple[str, ...] | None]:
     if type(rec["class_count"]) is not int:  # JSON true/false would pass isinstance(..., int)
         raise TypeError("header needs an integer class_count")
@@ -486,7 +500,10 @@ def _example_from_record(rec: dict, expected_schema: str | None) -> LabeledExamp
     if expected_schema is not None and schema != expected_schema:
         raise DataFormatError(f"record schema {schema} does not match expected {expected_schema}")
     if has_features:
-        ex = LabeledExample(id=exid, label=label, features=tuple(rec["features"]), gold_label=gold)
+        features = tuple(rec["features"])
+        if not _NUMBER_TYPES.issuperset(map(type, features)):
+            raise _not_numbers(f"example {exid!r}: features", features)
+        ex = LabeledExample(id=exid, label=label, features=features, gold_label=gold)
         if not all(map(math.isfinite, ex.features)):
             raise DataFormatError("features must be finite numbers")
         return ex
@@ -526,7 +543,7 @@ def _example_records(dataset: Dataset) -> Iterator[dict]:
     if dataset.tokens is not None:
         key, blocks = "tokens", [(list(map(_token_record, tokens)) for tokens in dataset.tokens)]
     else:
-        step = max(1, _BLOCK_BYTES // (8 * max(1, dataset.feature_dim or 1)))
+        step = max(1, _WRITE_BLOCK_BYTES // (8 * max(1, dataset.feature_dim or 1)))
         key, blocks = "features", (dataset.matrix(slice(lo, lo + step)).tolist() for lo in range(0, n, step))
     golds = dataset.gold.tolist() if dataset.gold is not None else itertools.repeat(NO_GOLD, n)
     for exid, label, payload, gold in zip(
@@ -570,6 +587,9 @@ def load_distributions(path: str) -> PassStack:
             raise DataFormatError(
                 f"distribution {exid!r}: passes have shape {passes.shape}, the first record's {blocks[0].shape[1:]}"
             )
+        # by its shape, the record holds T rows of C values
+        if not _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(rec["passes"]))):
+            raise _not_numbers(f"distribution {exid!r}: passes", itertools.chain.from_iterable(rec["passes"]))
         if not blocks or filled == len(blocks[-1]):
             blocks.append(np.empty((max(1, _BLOCK_BYTES // passes.nbytes), *passes.shape)))
             filled = 0

@@ -1,13 +1,14 @@
 """Synthetic blob data, controlled label corruption, and ground-truth detection scoring."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import NO_GOLD, Dataset, read_json, write_json
-from .policy import OVERWRITE, REMOVE
+from .policy import OVERWRITE, Decisions
 from .seeding import generator
 
 
@@ -147,24 +148,28 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec):
 def detection_scores(decisions, mask: NoiseMask) -> DetectionReport:
     """Score flagged examples (Remove or Overwrite) against the corruption mask.
 
-    Precision is 1 when nothing is flagged and recall 0 when nothing was
-    corrupted; overwrite_accuracy is the fraction of overwrites restoring the
-    mask's original label (1 when there are none).
+    ``decisions`` is a ``Decisions`` or a list of ``Decision`` records, read
+    as columns.  Precision is 1 when nothing is flagged and recall 0 when
+    nothing was corrupted; overwrite_accuracy is the fraction of overwrites
+    restoring the mask's original label (1 when there are none).
     """
-    decided_ids = {d.example_id for d in decisions}
-    missing = mask.corrupted_ids - decided_ids
+    decisions = Decisions.of(decisions)
+    missing = mask.corrupted_ids.difference(decisions.ids)
     if missing:
         raise ValueError(f"corrupted example {sorted(missing)[0]!r} has no decision")
-    flagged = {d.example_id for d in decisions if d.verdict in (REMOVE, OVERWRITE)}
+    flagged = set(itertools.compress(decisions.ids, decisions.flagged.tolist()))
     true_flags = flagged & mask.corrupted_ids
     precision = len(true_flags) / len(flagged) if flagged else 1.0
     recall = len(true_flags) / len(mask.corrupted_ids) if mask.corrupted_ids else 0.0
-    overwrites = [d for d in decisions if d.verdict == OVERWRITE]
-    if overwrites:
+    overwrites = decisions.where(OVERWRITE)
+    if overwrites.size:
+        new_labels = decisions.new_labels[overwrites].tolist()
         restored = sum(
-            1 for d in overwrites if mask.original_label_of.get(d.example_id) == d.new_label
+            1
+            for j, new_label in zip(overwrites.tolist(), new_labels)
+            if mask.original_label_of.get(decisions.ids[j]) == new_label
         )
-        overwrite_accuracy = restored / len(overwrites)
+        overwrite_accuracy = restored / overwrites.size
     else:
         overwrite_accuracy = 1.0
     return DetectionReport(

@@ -47,9 +47,9 @@ from .noisebench import (
 )
 from .policy import (
     FILTER_ONLY,
-    KEEP,
     OVERWRITE_MODE,
     THRESHOLDS,
+    Decisions,
     FilterThresholds,
     OverwriteThresholds,
     QuantileThresholds,
@@ -381,7 +381,7 @@ def load_config(path: str) -> PipelineConfig:
 class PipelineResult:
     config: PipelineConfig
     report: dict
-    decisions: list
+    decisions: Decisions
     cleaned: Dataset
     thresholds: object
     fold_assignment: FoldAssignment | None = None
@@ -392,25 +392,30 @@ class PipelineResult:
 def decide_all(policy: str, dists: PassStack, labels: list[int], thresholds, mapping: LabelSpaceMapping | None):
     """One decision per row of the stack, where ``labels[i]`` is the current label
     of row i; ``mapping`` turns a sentinel's classes into evidence for the filter
-    policy (``None``: a binary sentinel in the target's space)."""
-    if not dists.ids:
-        return []
+    policy (``None``: a binary sentinel in the target's space).
+
+    Each row still runs one ``summarize`` and one ``decide_*`` call (the
+    quantile policy: one ``decide_quantile``); their ``Decision`` records are
+    read into one ``Decisions`` that shares the stack's ids tuple.
+    """
     rows = dists.passes
-    if policy == "filter":
+    if policy == "filter" and dists.ids:
         if mapping is None:
             if dists.class_count != 2:
                 raise ValueError("filter policy needs a label-space mapping for a non-binary sentinel")
             mapping = LabelSpaceMapping.binary_target()
         rows = map_to_evidence(dists, mapping)
-    decisions = []
-    for i, (example_id, label) in enumerate(zip(dists.ids, labels, strict=True)):
-        if policy == "overwrite":
-            decisions.append(decide_overwrite(summarize(rows[i], example_id=example_id), label, thresholds))
-        elif policy == "filter":
-            decisions.append(decide_filter(summarize(rows[i], example_id=example_id), label, thresholds))
-        else:
-            decisions.append(decide_quantile(dists[i], label, thresholds))
-    return decisions
+
+    def decided():
+        for i, (example_id, label) in enumerate(zip(dists.ids, labels, strict=True)):
+            if policy == "overwrite":
+                yield decide_overwrite(summarize(rows[i], example_id=example_id), label, thresholds)
+            elif policy == "filter":
+                yield decide_filter(summarize(rows[i], example_id=example_id), label, thresholds)
+            else:
+                yield decide_quantile(dists[i], label, thresholds)
+
+    return Decisions.from_records(decided(), dists.ids)
 
 
 def sentinel_distributions(config: PipelineConfig, dataset: Dataset, dev: bool = False):
@@ -454,10 +459,10 @@ def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
         raise ValueError(f"sweep grid names unknown fields {sorted(unknown)} for policy {config.policy!r}")
     base = thresholds_to_section(config.resolved_thresholds(clean_dev.class_count))
     axes = [sorted(set(float(v) for v in config.sweep.get(f, [base[f]]))) for f in grid]
-    truth = (clean_dev.labels != clean_dev.gold).tolist()
+    truth = clean_dev.labels != clean_dev.gold
     labels = clean_dev.labels.tolist()
     dists, _ = sentinel_distributions(config, clean_dev, dev=True)
-    total_bad = sum(truth)
+    total_bad = int(truth.sum())
     table = []
     for point in itertools.product(*axes):
         section = dict(base)
@@ -466,10 +471,10 @@ def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
             candidate = thresholds_from_section(config.policy, section)
         except ValueError:
             continue  # grid points violating threshold invariants are skipped
-        decisions = decide_all(config.policy, dists, labels, candidate, config.label_mapping)
-        flagged = [bad for d, bad in zip(decisions, truth) if d.verdict != KEEP]
-        tp = sum(flagged)
-        fp = len(flagged) - tp
+        flagged = decide_all(config.policy, dists, labels, candidate, config.label_mapping).flagged
+        flag_count = int(np.count_nonzero(flagged))
+        tp = int(np.count_nonzero(flagged & truth))
+        fp = flag_count - tp
         fn = total_bad - tp
         denom = 2 * tp + fp + fn
         f1 = 2 * tp / denom if denom else 0.0
@@ -477,9 +482,9 @@ def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
             {
                 **{f: v for f, v in zip(grid, point)},
                 "f1": f1,
-                "precision": tp / len(flagged) if flagged else 1.0,
+                "precision": tp / flag_count if flag_count else 1.0,
                 "recall": tp / total_bad if total_bad else 0.0,
-                "flagged": len(flagged),
+                "flagged": flag_count,
             }
         )
     if not table:

@@ -5,14 +5,22 @@ All threshold comparisons are strict: "above"/"below" exclude the boundary, so
 tuned values have a single fixed meaning.  Policies are pure functions of the
 summary/distribution, the current label, and the thresholds; they never see
 gold labels.
+
+Each policy call returns one ``Decision``; a run's decisions are held as one
+``Decisions`` column set (a verdict, a new label and a rule per id), which
+``apply_decisions``, ``save_decisions`` and ``rule_histogram`` read whole.
+A list of ``Decision`` records, as ``load_decisions`` returns, is turned
+into columns once at their entry.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .data import Dataset, PredictiveDistribution, read_jsonl, write_jsonl
+from .data import Dataset, PredictiveDistribution, _ints, _read_only, read_jsonl, write_jsonl
 from .uncertainty import UncertaintySummary, ordinal_quantile
 
 POSITIVE = 1
@@ -21,7 +29,9 @@ NEGATIVE = 0
 KEEP = "keep"
 REMOVE = "remove"
 OVERWRITE = "overwrite"
-VERDICTS = (KEEP, REMOVE, OVERWRITE)
+VERDICTS = (KEEP, REMOVE, OVERWRITE)  # a verdict's code in a Decisions column is its index here
+_CODE = {verdict: code for code, verdict in enumerate(VERDICTS)}
+NO_LABEL = -1  # the new-label column's entry for a decision that overwrites nothing
 
 FILTER_ONLY = "filter_only"
 OVERWRITE_MODE = "overwrite"
@@ -106,6 +116,96 @@ class Decision:
             raise ValueError(f"{self.verdict} decision for {self.example_id!r} cannot carry new_label")
 
 
+def _decision_view(example_id: str, code: int, new_label: int, rule: str) -> Decision:
+    """A Decision of already validated columns, skipping ``__post_init__``."""
+    d = object.__new__(Decision)
+    d.__dict__.update(
+        example_id=example_id,
+        verdict=VERDICTS[code],
+        new_label=new_label if code == _CODE[OVERWRITE] else None,
+        rule=rule,
+    )
+    return d
+
+
+@dataclass(frozen=True, eq=False)
+class Decisions:
+    """One decision per id, held as columns: the ``ids`` tuple, a read-only
+    int8 ``verdicts`` column (each verdict's index in ``VERDICTS``), a
+    read-only int64 ``new_labels`` column (``NO_LABEL`` where the verdict is
+    not an overwrite) and the ``rules`` tuple.
+
+    ``len``, an int index (negative too) and iteration behave as on the
+    list of ``Decision`` records, which they yield as views built on each
+    access; a slice yields a ``Decisions``.  ``ids`` is taken over, not
+    copied, so the decisions of a stack share its ids tuple; arrays are
+    taken over and made read-only.  A new label beyond int64 keeps the
+    column as Python ints, for ``apply_decisions`` to refuse by value.
+    """
+
+    ids: tuple[str, ...]
+    verdicts: np.ndarray
+    new_labels: np.ndarray
+    rules: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.ids)
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "rules", tuple(self.rules))
+        verdicts = np.asarray(self.verdicts, dtype=np.int8)
+        new_labels = _ints(self.new_labels)
+        if verdicts.shape != (n,) or new_labels.shape != (n,) or len(self.rules) != n:
+            raise ValueError(f"decision columns for {n} ids must each hold {n} entries")
+        if new_labels.dtype.kind not in "iuO":
+            raise ValueError(f"new_labels must be integers, got {new_labels.dtype}")
+        if ((verdicts < 0) | (verdicts >= len(VERDICTS))).any():
+            raise ValueError(f"verdict codes must lie in [0, {len(VERDICTS)})")
+        object.__setattr__(self, "verdicts", _read_only(verdicts))
+        object.__setattr__(self, "new_labels", _read_only(new_labels))
+
+    @classmethod
+    def from_records(cls, records: Iterable[Decision], ids: tuple[str, ...] | None = None) -> "Decisions":
+        """The columns of ``Decision`` records, read one at a time so that none
+        need outlive its row.  Given ``ids``, the records must carry those ids
+        in that order, and the tuple itself becomes the id column."""
+        seen, codes, new_labels, rules = [], [], [], []
+        for d in records:
+            seen.append(d.example_id)
+            codes.append(_CODE[d.verdict])
+            new_labels.append(NO_LABEL if d.new_label is None else d.new_label)
+            rules.append(d.rule)
+        if ids is None:
+            ids = tuple(seen)
+        elif list(ids) != seen:
+            raise ValueError("decision records do not follow the given ids")
+        return cls(ids, codes, new_labels, rules)
+
+    @classmethod
+    def of(cls, decisions) -> "Decisions":
+        """``decisions`` itself when it is a ``Decisions``, else the columns of its records."""
+        return decisions if isinstance(decisions, Decisions) else cls.from_records(decisions)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Decisions(self.ids[key], self.verdicts[key], self.new_labels[key], self.rules[key])
+        return _decision_view(self.ids[key], int(self.verdicts[key]), int(self.new_labels[key]), self.rules[key])
+
+    def __iter__(self) -> Iterator[Decision]:
+        return map(_decision_view, self.ids, self.verdicts.tolist(), self.new_labels.tolist(), self.rules)
+
+    @property
+    def flagged(self) -> np.ndarray:
+        """Whether each decision removes or overwrites its example."""
+        return self.verdicts != _CODE[KEEP]
+
+    def where(self, verdict: str) -> np.ndarray:
+        """The positions of the decisions with ``verdict``, in order."""
+        return np.flatnonzero(self.verdicts == _CODE[verdict])
+
+
 @dataclass(frozen=True)
 class ApplyReport:
     kept: int
@@ -173,62 +273,82 @@ def decide_quantile(dist: PredictiveDistribution, label: int, thresholds: Quanti
 def apply_decisions(dataset: Dataset, decisions, mode: str):
     """Apply per-example verdicts: Remove drops, Overwrite relabels, Keep passes.
 
-    Undecided examples pass through.  ``filter_only`` mode rejects Overwrite
-    decisions outright.  The returned counts satisfy kept + removed == input
-    size, with overwritten counted inside kept.  The cleaned dataset replaces
-    the label column and picks the kept examples by an index array; it shares
-    the input's feature matrix.
+    ``decisions`` is a ``Decisions`` or a list of ``Decision`` records; they
+    may cover only part of the dataset, in any order, and undecided examples
+    pass through.  Decisions whose ids are the dataset's, in its order,
+    apply as a verdict mask plus one write of the label column; any others
+    are first joined to the dataset's positions, which refuses a repeated or
+    unknown id.  ``filter_only`` mode rejects Overwrite decisions outright.
+    The returned counts satisfy kept + removed == input size, with
+    overwritten counted inside kept.  The cleaned dataset replaces the label
+    column and picks the kept examples by an index array; it shares the
+    input's feature matrix.
     """
     if mode not in APPLY_MODES:
         raise ValueError(f"unknown apply mode {mode!r}, expected one of {APPLY_MODES}")
-    by_id: dict[str, Decision] = {}
-    for d in decisions:
-        if d.example_id in by_id:
-            raise ValueError(f"duplicate decision for example {d.example_id!r}")
-        by_id[d.example_id] = d
-    position = {exid: j for j, exid in enumerate(dataset.ids)}
-    unknown = set(by_id) - set(position)
-    if unknown:
-        raise ValueError(f"decision for unknown example {sorted(unknown)[0]!r}")
-    removed = np.zeros(len(dataset), dtype=bool)
-    overwrites = []  # (position, new label)
-    for d in by_id.values():
-        if d.verdict == REMOVE:
-            removed[position[d.example_id]] = True
-        elif d.verdict == OVERWRITE:
-            overwrites.append((position[d.example_id], d.new_label))
-    overwrites.sort()
-    labels = dataset.labels.tolist()
-    for j, new_label in overwrites:
+    decisions = Decisions.of(decisions)
+    verdicts, new_labels = decisions.verdicts, decisions.new_labels
+    if decisions.ids != dataset.ids:
+        verdicts, new_labels = _aligned(dataset, decisions)
+    removed = verdicts == _CODE[REMOVE]
+    overwrites = np.flatnonzero(verdicts == _CODE[OVERWRITE])
+    cleaned = dataset
+    if overwrites.size:
         if mode == FILTER_ONLY:
-            raise ValueError(f"overwrite decision for {dataset.ids[j]!r} not allowed in filter_only mode")
-        if new_label == labels[j]:
-            raise ValueError(f"overwrite for {dataset.ids[j]!r} does not change the label")
-        labels[j] = new_label
-    cleaned = dataset.with_labels(labels) if overwrites else dataset
+            raise ValueError(f"overwrite decision for {dataset.ids[overwrites[0]]!r} not allowed in filter_only mode")
+        new = new_labels[overwrites]
+        unchanged = np.flatnonzero(new == dataset.labels[overwrites])
+        if unchanged.size:
+            raise ValueError(f"overwrite for {dataset.ids[overwrites[unchanged[0]]]!r} does not change the label")
+        labels = dataset.labels.astype(new.dtype)  # Python ints only for a label beyond int64, refused below
+        labels[overwrites] = new
+        cleaned = dataset.with_labels(labels)
     if removed.any():
         cleaned = cleaned.subset(np.flatnonzero(~removed))
     report = ApplyReport(kept=len(cleaned), removed=int(removed.sum()), overwritten=len(overwrites))
     return cleaned, report
 
 
+def _aligned(dataset: Dataset, decisions: Decisions) -> tuple[np.ndarray, np.ndarray]:
+    """The verdict and new-label columns of ``decisions`` moved to the
+    dataset's positions, Keep where an example is undecided; the first
+    repeated id, or the least unknown one, fails."""
+    ids = decisions.ids
+    distinct = set(ids)
+    if len(distinct) != len(ids):
+        seen: set[str] = set()
+        for exid in ids:
+            if exid in seen:
+                raise ValueError(f"duplicate decision for example {exid!r}")
+            seen.add(exid)
+    position = dict(zip(dataset.ids, range(len(dataset))))
+    unknown = distinct.difference(position)
+    if unknown:
+        raise ValueError(f"decision for unknown example {sorted(unknown)[0]!r}")
+    at = np.fromiter(map(position.__getitem__, ids), dtype=np.intp, count=len(ids))
+    verdicts = np.full(len(dataset), _CODE[KEEP], dtype=np.int8)
+    verdicts[at] = decisions.verdicts
+    new_labels = np.full(len(dataset), NO_LABEL, dtype=decisions.new_labels.dtype)
+    new_labels[at] = decisions.new_labels
+    return verdicts, new_labels
+
+
 def rule_histogram(decisions) -> dict[str, int]:
-    hist: dict[str, int] = {}
-    for d in decisions:
-        hist[d.rule] = hist.get(d.rule, 0) + 1
-    return dict(sorted(hist.items()))
+    return dict(sorted(Counter(Decisions.of(decisions).rules).items()))
 
 
-def _decision_record(d: Decision) -> dict:
-    rec: dict = {"example_id": d.example_id, "verdict": d.verdict, "rule": d.rule}
-    if d.verdict == OVERWRITE:
-        rec["new_label"] = d.new_label
+def _decision_record(example_id: str, code: int, new_label: int, rule: str) -> dict:
+    rec: dict = {"example_id": example_id, "verdict": VERDICTS[code], "rule": rule}
+    if code == _CODE[OVERWRITE]:
+        rec["new_label"] = new_label
     return rec
 
 
 def save_decisions(decisions, path: str) -> None:
-    """Persist decisions as line-delimited JSON, one record per example."""
-    write_jsonl(path, map(_decision_record, decisions))
+    """Persist decisions (a ``Decisions`` or a list of records) as
+    line-delimited JSON, one record per example, read from the columns."""
+    d = Decisions.of(decisions)
+    write_jsonl(path, map(_decision_record, d.ids, d.verdicts.tolist(), d.new_labels.tolist(), d.rules))
 
 
 def _decision_from_record(rec: dict) -> Decision:
@@ -239,6 +359,7 @@ def _decision_from_record(rec: dict) -> Decision:
 
 
 def load_decisions(path: str) -> list[Decision]:
+    """The records of a decisions file, one ``Decision`` per line."""
     return list(read_jsonl(path, _decision_from_record))
 
 

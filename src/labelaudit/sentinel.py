@@ -14,6 +14,7 @@ from .data import (
     Dataset,
     PassStack,
     PredictiveDistribution,
+    _read_only,
     load_distributions,
     located,
     read_json,
@@ -28,12 +29,28 @@ ABSTAIN = "abstain"
 ROLES = (SUPPORTS_POSITIVE, SUPPORTS_NEGATIVE, ABSTAIN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldAssignment:
-    """Which fold held each example out; the bookkeeping behind the out-of-fold guarantee."""
+    """Which fold held each example out; the bookkeeping behind the out-of-fold guarantee.
 
-    fold_of: dict[str, int]
+    ``fold[i]`` is the fold of ``ids[i]``: a read-only int column beside the
+    dataset's own ids tuple, which is shared, not copied.  Two assignments
+    are equal when they put the same ids, in the same order, in the same folds.
+    """
+
+    ids: tuple[str, ...]
+    fold: np.ndarray
     k: int
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FoldAssignment):
+            return NotImplemented
+        return self.k == other.k and self.ids == other.ids and np.array_equal(self.fold, other.fold)
+
+    @property
+    def fold_of(self) -> dict[str, int]:
+        """The assignment as an id -> fold dict, built on each access."""
+        return dict(zip(self.ids, self.fold.tolist()))
 
 
 @dataclass(frozen=True)
@@ -109,7 +126,8 @@ def build_cv_sentinel(
     which is then validated in one call: a model whose output overflows fails
     here.
 
-    Returns (PassStack in dataset order, FoldAssignment).
+    Returns (PassStack in dataset order, FoldAssignment); both share the
+    dataset's ids tuple.
     """
     n = len(dataset)
     if k < 2:
@@ -134,7 +152,7 @@ def build_cv_sentinel(
         validate_distribution(stack)
     except DataFormatError as err:  # the model's fault, not the input's
         raise ValueError(f"sentinel output is not a probability distribution: {err}") from None
-    return stack, FoldAssignment(dict(zip(dataset.ids, fold.tolist())), k)
+    return stack, FoldAssignment(dataset.ids, _read_only(fold), k)
 
 
 def ingest_external_dump(path: str, expected_t: int, expected_c: int, ids: Sequence[str]) -> PassStack:

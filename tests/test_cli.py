@@ -589,3 +589,17 @@ def test_dataset_refusals_keep_their_message_and_location(tmp_path, capsys, reco
     assert main(["inject-noise", "--dataset", str(data), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {data}{where}: {message}\n"
     assert not out.exists()
+
+
+def test_decide_refuses_non_number_features_and_passes(tmp_path, capsys):
+    data, dump, good = tmp_path / "data.jsonl", tmp_path / "dump.jsonl", tmp_path / "good.jsonl"
+    data.write_text('{"class_count": 2}\n{"id": "a", "label": 0, "features": ["0.5", true]}\n')
+    dump.write_text('{"example_id": "a", "passes": [["0.5", "0.5"], [true, false]]}\n')
+    good.write_text('{"class_count": 2}\n{"id": "a", "label": 0, "features": [0.5, 1.0]}\n')
+    out = tmp_path / "decisions.jsonl"
+    refusals = ((data, f"{data}: line 2: example 'a': features"), (good, f"{dump}: line 1: distribution 'a': passes"))
+    for dataset, where in refusals:
+        argv = ["decide", "--dataset", str(dataset), "--dump", str(dump), "--passes", "2", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {where} must be numbers, got '0.5'\n"
+        assert not out.exists()

@@ -373,6 +373,68 @@ def test_non_finite_features_rejected(tmp_path, value):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "values, shown",
+    [('["0.5", 1.0]', "'0.5'"), ("[0.5, true]", "True"), ("[false, 0.5]", "False"), ("[0.5, null]", "None")],
+    ids=["string", "true-after-a-float", "false", "null"],
+)
+def test_non_number_features_are_refused_naming_file_line_and_id(tmp_path, values, shown):
+    # float() and numpy turn a numeric string or a boolean into a float, so
+    # the entries are checked as JSON values before any conversion
+    path = _write(
+        tmp_path,
+        [
+            '{"class_count": 2}',
+            '{"id": "a", "label": 0, "features": [1.0, 2.0]}',
+            "",
+            f'{{"id": "b", "label": 1, "features": {values}}}',
+        ],
+    )
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}: line 4: example 'b': features must be numbers, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "rows, shown",
+    [
+        ('[["0.5", "0.5"], [0.5, 0.5]]', "'0.5'"),
+        ("[[0.5, 0.5], [true, false]]", "True"),
+        ("[[1, 0], [0.5, true]]", "True"),  # numpy would upcast this one to float64
+        ("[[0.5, 0.5], [null, 1.0]]", "None"),
+    ],
+    ids=["strings", "booleans", "boolean-among-numbers", "null"],
+)
+def test_non_number_passes_are_refused_naming_file_line_and_id(tmp_path, rows, shown):
+    path = tmp_path / "dump.jsonl"
+    path.write_text(f'{{"example_id": "a", "passes": [[0.5, 0.5], [1, 0]]}}\n{{"example_id": "b", "passes": {rows}}}\n')
+    with pytest.raises(DataFormatError) as info:
+        load_distributions(str(path))
+    assert str(info.value) == f"{path}: line 2: distribution 'b': passes must be numbers, got {shown}"
+    path.write_text(f'{{"example_id": "b", "passes": {rows}}}\n')  # the record that fixes the shape
+    with pytest.raises(DataFormatError, match="line 1: distribution 'b': passes must be numbers"):
+        load_distributions(str(path))
+
+
+def test_an_integer_too_large_for_a_float_is_refused_at_its_line(tmp_path):
+    huge = "1" + "0" * 400
+    path = _write(tmp_path, ['{"class_count": 2}', f'{{"id": "a", "label": 0, "features": [{huge}, 1.0]}}'])
+    with pytest.raises(DataFormatError, match="line 2: int too large to convert to float"):
+        load_dataset(path)
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(f'{{"example_id": "a", "passes": [[0.5, 0.5]]}}\n{{"example_id": "b", "passes": [[{huge}, 0]]}}\n')
+    with pytest.raises(DataFormatError, match="line 2: int too large to convert to float"):
+        load_distributions(str(dump))
+
+
+def test_a_failure_before_any_record_is_located_at_the_file(tmp_path):
+    path = tmp_path / "dump.jsonl"
+    path.write_bytes(b"\n\xff\n")
+    with pytest.raises(DataFormatError) as info:
+        load_distributions(str(path))
+    assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode")
+
+
 def test_distribution_shape_invariants():
     with pytest.raises(DataFormatError):
         PredictiveDistribution("a", [[0.9]])  # C < 2

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelaudit import pipeline, sentinel
+from labelaudit import pipeline, policy, sentinel
 from labelaudit.data import PassStack, PredictiveDistribution, save_distributions
 from labelaudit.noisebench import make_blobs, inject_noise, NoiseSpec
 from labelaudit.pipeline import (
@@ -20,7 +20,7 @@ from labelaudit.pipeline import (
     run_pipeline,
     sweep_thresholds,
 )
-from labelaudit.policy import OverwriteThresholds, FilterThresholds, load_decisions
+from labelaudit.policy import Decisions, OverwriteThresholds, FilterThresholds, load_decisions
 
 
 SMALL_BENCH = BenchmarkConfig(n=120, dev_size=40, test_size=60)
@@ -448,10 +448,12 @@ def test_readme_configs_load():
 
 def test_stock_benchmark_run_builds_no_records_and_shares_every_feature_matrix(tmp_path, monkeypatch):
     # the work-count contract for the data layer: a benchmark run holds its
-    # examples as columns only, and no derived dataset copies a feature matrix
+    # examples, decisions and folds as columns only, no derived dataset copies
+    # a feature matrix, and the decisions and folds share the dataset's ids
     from labelaudit.data import Dataset, LabeledExample
 
-    records, views, stripped, folds, applied = [], [], [], [], []
+    records, views, stripped, folds, applied, decision_views = [], [], [], [], [], []
+    decision_view = policy._decision_view
     record_init, examples, strip_gold = LabeledExample.__init__, Dataset.examples, Dataset.strip_gold
     sentinel_train, apply_decisions = sentinel.train, pipeline.apply_decisions
 
@@ -476,6 +478,11 @@ def test_stock_benchmark_run_builds_no_records_and_shares_every_feature_matrix(t
         applied.append((dataset, cleaned))
         return cleaned, report
 
+    def counted_decision_view(*columns):
+        decision_views.append(columns)
+        return decision_view(*columns)
+
+    monkeypatch.setattr(policy, "_decision_view", counted_decision_view)
     monkeypatch.setattr(LabeledExample, "__init__", counted_init)
     monkeypatch.setattr(Dataset, "examples", property(counted_examples))
     monkeypatch.setattr(Dataset, "strip_gold", recorded_strip_gold)
@@ -484,7 +491,7 @@ def test_stock_benchmark_run_builds_no_records_and_shares_every_feature_matrix(t
     config = default_benchmark_config("symmetric", seed=4, out_dir=str(tmp_path / "out"))
     result = run_pipeline(config)
 
-    assert records == [] and views == []
+    assert records == [] and views == [] and decision_views == []
     assert len(stripped) == 2  # the dev split's sentinel and the training split's
     for source, view in stripped:
         assert view.gold is None and np.shares_memory(view.features, source.features)
@@ -494,3 +501,6 @@ def test_stock_benchmark_run_builds_no_records_and_shares_every_feature_matrix(t
     ((working, cleaned),) = applied
     assert np.shares_memory(cleaned.features, working.features)
     assert np.shares_memory(result.cleaned.features, working.features)
+    assert isinstance(result.decisions, Decisions) and result.decisions.ids is working.ids
+    assert result.fold_assignment.ids is working.ids
+    assert result.fold_assignment.fold.shape == (len(working),) and result.fold_assignment.k == config.folds

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from labelaudit.data import Dataset, LabeledExample, PredictiveDistribution
+from labelaudit.noisebench import NoiseMask, detection_scores
 from labelaudit.pipeline import config_from_dict
 from labelaudit.policy import (
     KEEP,
@@ -11,8 +14,10 @@ from labelaudit.policy import (
     OVERWRITE,
     POSITIVE,
     REMOVE,
+    VERDICTS,
     ApplyReport,
     Decision,
+    Decisions,
     FilterThresholds,
     OverwriteThresholds,
     QuantileThresholds,
@@ -240,6 +245,187 @@ def test_decision_file_roundtrip(tmp_path):
 def test_rule_histogram():
     decisions = [Decision("a", KEEP), Decision("b", REMOVE, rule="r"), Decision("c", REMOVE, rule="r")]
     assert rule_histogram(decisions) == {"none": 1, "r": 2}
+
+
+def _mixed_decisions() -> list[Decision]:
+    return [
+        Decision("x3", REMOVE, rule="filter:positive-refuted"),
+        Decision("x0", KEEP),
+        Decision("x4", OVERWRITE, new_label=0, rule="overwrite:false-positive"),
+        Decision("x1", OVERWRITE, new_label=0, rule="overwrite:false-positive"),
+        Decision("x2", KEEP),
+    ]
+
+
+def test_decisions_behave_as_their_list_form():
+    records = _mixed_decisions()
+    columns = Decisions.from_records(records)
+    assert len(columns) == len(records)
+    assert list(columns) == records
+    for i in range(-len(records), len(records)):
+        assert columns[i] == records[i]
+    with pytest.raises(IndexError):
+        columns[len(records)]
+    for key in (slice(1, None), slice(None, -1), slice(None, None, 2), slice(3, 1), slice(None)):
+        part = columns[key]
+        assert isinstance(part, Decisions)
+        assert len(part) == len(records[key]) and list(part) == records[key]
+    assert Decisions.of(columns) is columns
+    assert columns.flagged.tolist() == [d.verdict != KEEP for d in records]
+    assert columns.where(OVERWRITE).tolist() == [2, 3]
+    assert not columns.verdicts.flags.writeable and not columns.new_labels.flags.writeable
+    empty = Decisions.from_records([])
+    assert len(empty) == 0 and list(empty) == [] and list(empty[1:]) == []
+
+
+def test_decisions_take_over_the_ids_they_are_given():
+    records = _mixed_decisions()
+    ids = tuple(d.example_id for d in records)
+    assert Decisions.from_records(records, ids).ids is ids
+    with pytest.raises(ValueError, match="do not follow"):
+        Decisions.from_records(records, ids[::-1])
+    with pytest.raises(ValueError, match="5 entries"):
+        Decisions(ids, [0] * 4, [-1] * 5, ["none"] * 5)
+    with pytest.raises(ValueError, match="verdict codes"):
+        Decisions(ids[:1], [3], [-1], ["none"])
+
+
+def _apply_reference(dataset, records, mode):
+    """The per-example loop that ``apply_decisions`` replaces: (ids, labels, report) or the error text."""
+    by_id = {}
+    for d in records:
+        if d.example_id in by_id:
+            return f"duplicate decision for example {d.example_id!r}"
+        by_id[d.example_id] = d
+    position = {exid: j for j, exid in enumerate(dataset.ids)}
+    unknown = set(by_id) - set(position)
+    if unknown:
+        return f"decision for unknown example {sorted(unknown)[0]!r}"
+    labels = dataset.labels.tolist()
+    removed, overwritten = set(), 0
+    for d in sorted(by_id.values(), key=lambda d: position[d.example_id]):
+        j = position[d.example_id]
+        if d.verdict == REMOVE:
+            removed.add(j)
+        elif d.verdict == OVERWRITE:
+            if mode == "filter_only":
+                return f"overwrite decision for {d.example_id!r} not allowed in filter_only mode"
+            if d.new_label == labels[j]:
+                return f"overwrite for {d.example_id!r} does not change the label"
+            labels[j] = d.new_label
+            overwritten += 1
+    kept = [j for j in range(len(dataset)) if j not in removed]
+    report = ApplyReport(kept=len(kept), removed=len(removed), overwritten=overwritten)
+    return [dataset.ids[j] for j in kept], [labels[j] for j in kept], report
+
+
+def _apply_outcome(dataset, decisions, mode):
+    try:
+        cleaned, report = apply_decisions(dataset, decisions, mode)
+    except ValueError as err:
+        return str(err)
+    return list(cleaned.ids), cleaned.labels.tolist(), report
+
+
+def test_apply_reads_a_list_and_its_columns_alike(rng):
+    ds = _dataset(30)
+    for _ in range(40):
+        codes = rng.integers(0, 3, size=len(ds))
+        new_labels = rng.integers(0, 2, size=len(ds))
+        records = [
+            Decision(exid, VERDICTS[c], new_label=int(nl) if c == 2 else None)
+            for exid, c, nl in zip(ds.ids, codes, new_labels)
+        ]
+        every = Decisions.from_records(records, ds.ids)  # the dataset's own ids: no join
+        picked = rng.permutation(len(ds))[: rng.integers(0, len(ds) + 1)]
+        partial = [records[j] for j in picked]  # part of the dataset, in any order
+        for mode in ("overwrite", "filter_only"):
+            expected = _apply_reference(ds, records, mode)
+            assert _apply_outcome(ds, records, mode) == _apply_outcome(ds, every, mode) == expected
+            expected = _apply_reference(ds, partial, mode)
+            assert _apply_outcome(ds, partial, mode) == expected
+            assert _apply_outcome(ds, Decisions.from_records(partial), mode) == expected
+
+
+@pytest.mark.parametrize(
+    "records, mode, message",
+    [
+        ([Decision("x0", REMOVE)], "bogus", "unknown apply mode 'bogus', expected one of ('filter_only', 'overwrite')"),
+        (
+            [Decision("x0", REMOVE), Decision("x1", KEEP), Decision("x0", KEEP)],
+            "filter_only",
+            "duplicate decision for example 'x0'",
+        ),
+        (
+            [Decision("zz", REMOVE), Decision("x0", KEEP), Decision("yy", REMOVE)],
+            "overwrite",
+            "decision for unknown example 'yy'",
+        ),
+        (
+            [Decision("x2", OVERWRITE, new_label=0), Decision("x1", OVERWRITE, new_label=0)],
+            "filter_only",
+            "overwrite decision for 'x1' not allowed in filter_only mode",
+        ),
+        (
+            [Decision("x2", OVERWRITE, new_label=1), Decision("x1", OVERWRITE, new_label=1)],
+            "overwrite",
+            "overwrite for 'x1' does not change the label",
+        ),
+        ([Decision("x1", OVERWRITE, new_label=2)], "overwrite", "example 'x1': label 2 out of range for class_count 2"),
+        (
+            [Decision("x1", OVERWRITE, new_label=-1)],
+            "overwrite",
+            "example 'x1': label -1 out of range for class_count 2",
+        ),
+        (
+            [Decision("x1", OVERWRITE, new_label=2**70)],
+            "overwrite",
+            "example 'x1': label 1180591620717411303424 out of range for class_count 2",
+        ),
+    ],
+    ids=["mode", "duplicate", "unknown", "filter-only", "no-op", "label-range", "negative-label", "beyond-int64"],
+)
+def test_apply_refusals_read_the_same_from_a_list_and_its_columns(records, mode, message):
+    ds = _dataset(3)
+    outcomes = [_apply_outcome(ds, decisions, mode) for decisions in (records, Decisions.from_records(records))]
+    assert outcomes == [message, message]
+    if len(records) == 1:  # a single decision over the dataset's own ids takes no join
+        aligned = [records[0] if exid == records[0].example_id else Decision(exid, KEEP) for exid in ds.ids]
+        assert _apply_outcome(ds, Decisions.from_records(aligned, ds.ids), mode) == message
+
+
+def test_save_decisions_histogram_and_detection_read_a_list_and_its_columns_alike(tmp_path, rng):
+    records = _mixed_decisions()
+    columns = Decisions.from_records(records)
+    paths = [tmp_path / "list.jsonl", tmp_path / "columns.jsonl"]
+    for decisions, path in zip((records, columns), paths):
+        save_decisions(decisions, str(path))
+    expected = "".join(
+        json.dumps(
+            {"example_id": d.example_id, "verdict": d.verdict, "rule": d.rule}
+            | ({"new_label": d.new_label} if d.verdict == OVERWRITE else {}),
+            sort_keys=True,
+        )
+        + "\n"
+        for d in records
+    )
+    assert paths[0].read_text() == paths[1].read_text() == expected
+    assert rule_histogram(records) == rule_histogram(columns) == {
+        "filter:positive-refuted": 1,
+        "none": 2,
+        "overwrite:false-positive": 2,
+    }
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        codes = rng.integers(0, 3, size=n)
+        records = [
+            Decision(f"x{i}", VERDICTS[c], new_label=int(rng.integers(0, 2)) if c == 2 else None, rule=f"r{c}")
+            for i, c in enumerate(codes)
+        ]
+        corrupted = {f"x{i}": int(rng.integers(0, 2)) for i in range(n) if rng.random() < 0.4}
+        mask = NoiseMask(set(corrupted), corrupted)
+        assert detection_scores(records, mask) == detection_scores(Decisions.from_records(records), mask)
+        assert rule_histogram(records) == rule_histogram(Decisions.from_records(records))
 
 
 def test_threshold_config_sections():

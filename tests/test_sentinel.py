@@ -30,8 +30,7 @@ def test_cv_folds_are_near_equal_and_cover_everyone():
     dists, assignment = build_cv_sentinel(ds, 5, SPEC, CFG, 4, seed=2)
     assert len(dists) == 100
     assert assignment.k == 5
-    sizes = [list(assignment.fold_of.values()).count(f) for f in range(5)]
-    assert sizes == [20] * 5
+    assert np.bincount(assignment.fold).tolist() == [20] * 5
     assert {d.example_id for d in dists} == {ex.id for ex in ds.examples}
     assert all(d.t_count == 4 for d in dists)
 
@@ -39,8 +38,7 @@ def test_cv_folds_are_near_equal_and_cover_everyone():
 def test_cv_handles_uneven_split():
     ds = make_blobs(3, 1, 2, [(-2.0,), (2.0,)], 0.5, 3)
     _, assignment = build_cv_sentinel(ds, 2, ModelSpec(1, (3,), 2), CFG, 2, seed=0)
-    sizes = sorted(list(assignment.fold_of.values()).count(f) for f in range(2))
-    assert sizes == [1, 2]
+    assert sorted(np.bincount(assignment.fold).tolist()) == [1, 2]
 
 
 def test_cv_is_deterministic_and_seed_sensitive():
@@ -51,7 +49,7 @@ def test_cv_is_deterministic_and_seed_sensitive():
     assert a1 == a2
     for x, y in zip(d1, d2):
         assert x.passes.tobytes() == y.passes.tobytes()
-    assert a1.fold_of != a3.fold_of
+    assert a1 != a3
 
 
 def test_cv_never_reads_gold_labels():
@@ -277,6 +275,8 @@ def test_fold_assignment_and_seeds_match_the_per_example_loop(monkeypatch, n, k,
     monkeypatch.setattr(sentinel, "pass_seed_words", recorded)
     ds = make_blobs(n, 2, 2, [(-2, 0), (2, 0)], 1.0, 4)
     _, assignment = build_cv_sentinel(ds, k, SPEC, TrainConfig(0.2, 1, 16, seed=5), 2, seed)
+    assert assignment.ids is ds.ids and assignment.fold.tolist() == fold.tolist()
+    assert not assignment.fold.flags.writeable
     assert assignment.fold_of == {exid: int(f) for exid, f in zip(ds.ids, fold)}
     assert len(seen) == k
     for f, seeds in enumerate(seen):

@@ -15,7 +15,7 @@ import pytest
 from labelaudit.data import PredictiveDistribution, load_dataset, save_dataset, save_distributions
 from labelaudit.mlp import ModelSpec, TrainConfig, init_model, train
 from labelaudit.noisebench import make_blobs
-from labelaudit.policy import REMOVE, Decision, apply_decisions
+from labelaudit.policy import KEEP, REMOVE, Decision, Decisions, apply_decisions, save_decisions
 from labelaudit.sentinel import build_cv_sentinel, load_distributions, mcd_predict
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -91,6 +91,13 @@ def test_dataset_work_units_read_from_columns(tracing, tmp_path):
     assert _units(tracing, "data.load_dataset", (path,), loaded) == 12
     args = (loaded, [Decision("ex00003", REMOVE)], "filter_only")
     assert _units(tracing, "policy.apply_decisions", args, apply_decisions(*args)) == 12
+    # a run's decisions are one column set: the units still read from its arguments
+    records = (Decision(exid, REMOVE if j == 3 else KEEP) for j, exid in enumerate(loaded.ids))
+    decisions = Decisions.from_records(records, loaded.ids)
+    args = (loaded, decisions, "filter_only")
+    assert _units(tracing, "policy.apply_decisions", args, apply_decisions(*args)) == 12
+    args = (decisions, str(tmp_path / "decisions.jsonl"))
+    assert _units(tracing, "policy.save_decisions", args, save_decisions(*args)) == 12
 
 
 def test_a_traced_call_records_strip_gold(tracing):
