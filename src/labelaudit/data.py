@@ -5,8 +5,8 @@ A dataset file is one JSON header line ``{"class_count": C, "class_names": [...]
 followed by one record per example.  It loads as one columnar ``Dataset``:
 a tuple of ids, an int label column, an optional int gold column, and either
 an (n, d) float feature matrix or each example's tagged tokens.  Each line is
-still read as one ``LabeledExample`` record, located by file and line, and
-appended to the columns; ``Dataset.examples`` rebuilds such records as a view.
+checked, located by file and line, and appended straight to the columns;
+``Dataset.examples`` rebuilds per-example ``LabeledExample`` records as a view.
 Noise injection, gold stripping, fold subsets and cleaning derive new
 datasets that share the parent's feature matrix: a label column is replaced,
 the gold column dropped, or the examples picked by an index array.
@@ -89,10 +89,6 @@ class LabeledExample:
         if self.tokens is not None:
             object.__setattr__(self, "tokens", tuple(self.tokens))
 
-    @property
-    def schema(self) -> str:
-        return FEATURES if self.features is not None else TOKENS
-
 
 def _view(exid: str, label: int, features, tokens, gold: int) -> LabeledExample:
     """A LabeledExample of already validated columns, skipping ``__post_init__``."""
@@ -155,12 +151,9 @@ class Dataset:
             )
         ids = tuple(self.ids)
         object.__setattr__(self, "ids", ids)
-        if len(set(ids)) != len(ids):
-            seen: set[str] = set()
-            for exid in ids:
-                if exid in seen:
-                    raise DataFormatError(f"duplicate example id {exid!r}")
-                seen.add(exid)
+        repeat = _first_repeat(ids)
+        if repeat is not None:
+            raise DataFormatError(f"duplicate example id {repeat!r}")
         object.__setattr__(self, "labels", self._class_column(self.labels, "label", 0))
         if self.gold is not None:
             object.__setattr__(self, "gold", self._class_column(self.gold, "gold_label", NO_GOLD))
@@ -195,7 +188,11 @@ class Dataset:
     @classmethod
     def from_examples(cls, class_count: int, examples: Iterable[LabeledExample], class_names=None) -> "Dataset":
         """A dataset of per-example records, appended to columns one at a time."""
-        return _assemble(class_count, class_names, *_columns(examples))
+        columns: tuple[list, ...] = ([], [], [], [], [])
+        for ex in examples:
+            has_features = ex.features is not None
+            _append(columns, ex.id, ex.label, ex.gold_label, ex.features if has_features else ex.tokens, has_features)
+        return _assemble(class_count, class_names, *columns)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -211,12 +208,6 @@ class Dataset:
         else:
             features, tokens = map(tuple, self.matrix().tolist()), itertools.repeat(None)
         return tuple(map(_view, self.ids, self.labels.tolist(), features, tokens, golds))
-
-    @property
-    def schema(self) -> str | None:
-        if self.features is not None:
-            return FEATURES
-        return TOKENS if self.tokens is not None else None
 
     @property
     def feature_dim(self) -> int | None:
@@ -263,22 +254,27 @@ class Dataset:
         return self._derive(labels=self._class_column(labels, "label", 0))
 
 
-def _columns(examples: Iterable[LabeledExample]) -> tuple[list, ...]:
-    """Per-example records appended to columns: ids, labels, gold labels,
-    payloads (features or tokens) and whether each record carries features."""
-    ids, labels, golds, payloads, has_features = [], [], [], [], []
-    for ex in examples:
-        ids.append(ex.id)
-        labels.append(ex.label)
-        golds.append(ex.gold_label)
-        has_features.append(ex.features is not None)
-        payloads.append(ex.features if ex.features is not None else ex.tokens)
-    return ids, labels, golds, payloads, has_features
+def _first_repeat(ids) -> str | None:
+    """The first id in ``ids`` that an earlier one repeats, or None."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen: set[str] = set()
+    for exid in ids:
+        if exid in seen:
+            return exid
+        seen.add(exid)
+
+
+def _append(columns: tuple[list, ...], *values) -> None:
+    """Append one example's id, label, gold label, payload (features or tokens)
+    and whether it carries features to ``columns``, one value to each."""
+    for column, value in zip(columns, values):
+        column.append(value)
 
 
 def _assemble(class_count: int, class_names, ids, labels, golds, payloads, has_features) -> Dataset:
-    """A dataset of ``_columns`` output.  Records must share one schema and
-    feature dimension; the first record that breaks either is named.  A
+    """A dataset of ``_append``ed columns.  Examples must share one schema and
+    feature dimension; the first example that breaks either is named.  A
     negative gold label is refused here, since the column keeps ``NO_GOLD``
     for a missing one."""
     if not ids:
@@ -484,10 +480,14 @@ def _not_numbers(what: str, values) -> DataFormatError:
 def _dataset_header(rec: dict) -> tuple[int, tuple[str, ...] | None]:
     if type(rec["class_count"]) is not int:  # JSON true/false would pass isinstance(..., int)
         raise TypeError("header needs an integer class_count")
-    return rec["class_count"], tuple(rec["class_names"]) if rec.get("class_names") else None
+    names = rec.get("class_names")
+    if names is not None and (type(names) is not list or not all(type(name) is str for name in names)):
+        raise TypeError(f"header class_names must be a list of strings, got {names!r}")
+    return rec["class_count"], tuple(names) if names else None
 
 
-def _example_from_record(rec: dict, expected_schema: str | None) -> LabeledExample:
+def _append_record(columns: tuple[list, ...], rec: dict, expected_schema: str | None) -> None:
+    """Check one dataset record and append it to ``columns``."""
     exid, label, gold = rec["id"], rec["label"], rec.get("gold_label")
     if not isinstance(exid, str):
         raise TypeError("id must be a string")
@@ -500,18 +500,18 @@ def _example_from_record(rec: dict, expected_schema: str | None) -> LabeledExamp
     if expected_schema is not None and schema != expected_schema:
         raise DataFormatError(f"record schema {schema} does not match expected {expected_schema}")
     if has_features:
-        features = tuple(rec["features"])
-        if not _NUMBER_TYPES.issuperset(map(type, features)):
-            raise _not_numbers(f"example {exid!r}: features", features)
-        ex = LabeledExample(id=exid, label=label, features=features, gold_label=gold)
-        if not all(map(math.isfinite, ex.features)):
+        payload = tuple(rec["features"])
+        if not _NUMBER_TYPES.issuperset(map(type, payload)):
+            raise _not_numbers(f"example {exid!r}: features", payload)
+        # an int too large for a float raises OverflowError here, as float() would
+        if not all(map(math.isfinite, payload)):
             raise DataFormatError("features must be finite numbers")
-        return ex
-    tokens = tuple(
-        TaggedToken(t["text"], t["pos"], bool(t.get("is_compound_head")), bool(t.get("is_entity")))
-        for t in rec["tokens"]
-    )
-    return LabeledExample(id=exid, label=label, tokens=tokens, gold_label=gold)
+    else:
+        payload = tuple(
+            TaggedToken(t["text"], t["pos"], bool(t.get("is_compound_head")), bool(t.get("is_entity")))
+            for t in rec["tokens"]
+        )
+    _append(columns, exid, label, gold, payload, has_features)
 
 
 def load_dataset(path: str, expected_schema: str | None = None) -> Dataset:
@@ -519,16 +519,17 @@ def load_dataset(path: str, expected_schema: str | None = None) -> Dataset:
 
     ``expected_schema`` pins the record kind (``"features"`` or ``"tokens"``);
     ``None`` accepts either but still requires the file to be uniform.  Each
-    line is built and located as one ``LabeledExample`` record, then appended
-    to the columns.
+    line is checked, located and appended straight to the columns.
     """
-    rows = read_jsonl(path, lambda rec: _example_from_record(rec, expected_schema), _dataset_header)
+    columns: tuple[list, ...] = ([], [], [], [], [])
+    rows = read_jsonl(path, lambda rec: _append_record(columns, rec, expected_schema), _dataset_header)
     header = next(rows, None)
     if header is None:
         raise DataFormatError(f"{path}: empty file, missing header line")
-    columns = _columns(rows)
+    for _ in rows:
+        pass
     try:
-        return _assemble(header[0], header[1], *columns)
+        return _assemble(*header, *columns)
     except DataFormatError as err:
         raise located(path, err) from None
 

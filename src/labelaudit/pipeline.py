@@ -200,12 +200,20 @@ class PipelineConfig:
             raise ValueError(f"policy must be one of {tuple(THRESHOLDS)}, got {self.policy!r}")
         if self.sweep:
             _check_types(THRESHOLDS[self.policy], self.sweep, lambda name: f"sweep.{name}", listed=True)
+            unknown = set(self.sweep) - set(grid_fields(self.policy))
+            if unknown:
+                raise ValueError(f"sweep grid names unknown fields {sorted(unknown)} for policy {self.policy!r}")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         object.__setattr__(self, "sweep", {k: list(v) for k, v in self.sweep.items()} if self.sweep else None)
         if self.sentinel not in SENTINEL_SOURCES:
             raise ValueError(f"sentinel must be one of {SENTINEL_SOURCES}, got {self.sentinel!r}")
         if self.passes < 1:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
+        if self.sentinel == "cv" and self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
+        # the training and architecture rules, checked before any data is read
+        self.train_config()
+        ModelSpec(input_dim=1, hidden_dims=self.hidden_dims, class_count=2, dropout_rate=self.dropout)
         if self.sentinel == "external" and self.dump is None:
             raise ValueError("external sentinel needs a dump path")
         if self.sentinel == "cv" and self.dump is not None:
@@ -454,9 +462,6 @@ def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
     if not len(clean_dev) or clean_dev.gold is None or (clean_dev.gold == NO_GOLD).any():
         raise ValueError("sweep needs a non-empty dev set with gold labels")
     grid = grid_fields(config.policy)
-    unknown = set(config.sweep) - set(grid)
-    if unknown:
-        raise ValueError(f"sweep grid names unknown fields {sorted(unknown)} for policy {config.policy!r}")
     base = thresholds_to_section(config.resolved_thresholds(clean_dev.class_count))
     axes = [sorted(set(float(v) for v in config.sweep.get(f, [base[f]]))) for f in grid]
     truth = clean_dev.labels != clean_dev.gold
@@ -500,6 +505,8 @@ def _fit(spec: ModelSpec, train_cfg: TrainConfig, seed: int, dataset: Dataset) -
 
 
 def evaluate(model: Model, test: Dataset) -> dict:
+    if model.spec.class_count != test.class_count:
+        raise ValueError(f"model has {model.spec.class_count} classes, the dataset has class_count {test.class_count}")
     probs = predict_batch(model, test.matrix())
     labels = test.labels
     accuracy = float(np.mean(probs.argmax(axis=1) == labels))
@@ -549,6 +556,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 test = load_dataset(config.test_dataset)
             if config.dev_dataset:
                 dev = load_dataset(config.dev_dataset)
+            for path, split in ((config.test_dataset, test), (config.dev_dataset, dev)):
+                if split is not None and split.class_count != working.class_count:
+                    raise DataFormatError(
+                        f"{path}: class_count {split.class_count} differs from the dataset's {working.class_count}"
+                    )
 
     sweep_result = None
     with _stage("thresholds"):

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .data import Dataset, PredictiveDistribution, _ints, _read_only, read_jsonl, write_jsonl
+from .data import Dataset, PredictiveDistribution, _first_repeat, _ints, _read_only, read_jsonl, write_jsonl
 from .uncertainty import UncertaintySummary, ordinal_quantile
 
 POSITIVE = 1
@@ -314,15 +314,11 @@ def _aligned(dataset: Dataset, decisions: Decisions) -> tuple[np.ndarray, np.nda
     dataset's positions, Keep where an example is undecided; the first
     repeated id, or the least unknown one, fails."""
     ids = decisions.ids
-    distinct = set(ids)
-    if len(distinct) != len(ids):
-        seen: set[str] = set()
-        for exid in ids:
-            if exid in seen:
-                raise ValueError(f"duplicate decision for example {exid!r}")
-            seen.add(exid)
+    repeat = _first_repeat(ids)
+    if repeat is not None:
+        raise ValueError(f"duplicate decision for example {repeat!r}")
     position = dict(zip(dataset.ids, range(len(dataset))))
-    unknown = distinct.difference(position)
+    unknown = set(ids).difference(position)
     if unknown:
         raise ValueError(f"decision for unknown example {sorted(unknown)[0]!r}")
     at = np.fromiter(map(position.__getitem__, ids), dtype=np.intp, count=len(ids))

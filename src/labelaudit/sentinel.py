@@ -162,8 +162,8 @@ def ingest_external_dump(path: str, expected_t: int, expected_c: int, ids: Seque
     The records may come in any order, one per id: a missing, unknown or
     repeated id fails.  Every record must carry exactly ``expected_t`` rows of
     width ``expected_c``; the loader holds all records to the first one's
-    shape, so a mismatch names the first record.  Errors name the file.  A
-    dump already in the order of ``ids`` comes back without a copy.
+    shape, so a mismatch names the first record.  Errors name the file.  The
+    stack holds ``ids``; a dump already in their order keeps its passes array.
     """
     stack = load_distributions(path)
     try:
@@ -177,7 +177,7 @@ def ingest_external_dump(path: str, expected_t: int, expected_c: int, ids: Seque
             )
         validate_distribution(stack)
         if stack.ids == tuple(ids):
-            return stack
+            return PassStack(ids, stack.passes)
         row_of = {exid: row for row, exid in enumerate(stack.ids)}
         missing = [exid for exid in ids if exid not in row_of]
         if missing:

@@ -415,6 +415,9 @@ def test_cli_imports_no_private_names():
     assert private == []
 
 
+RUN = ["run", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -428,6 +431,13 @@ def test_cli_imports_no_private_names():
         (["run", "--config", "{tmp}/sweep.json"], "config: sweep.t1 must be a list of float, got 5"),
         (["run", "--config", "{tmp}/passes.json"], "config: passes must be >= 1, got -1"),
         (["run", "--config", "{tmp}/dev_dump.json"], "sweep with the external sentinel requires a dev_dump"),
+        ([*RUN, "--folds", "1"], "config: folds must be >= 2, got 1"),
+        ([*RUN, "--dropout", "1.5"], "config: dropout_rate must lie in [0, 1), got 1.5"),
+        ([*RUN, "--batch-size", "0"], "config: batch_size must be >= 1"),
+        ([*RUN, "--learning-rate", "-1"], "config: learning_rate must be positive"),
+        ([*RUN, "--epochs", "-1"], "config: epochs must be >= 0"),
+        ([*RUN, "--hidden-dims", "0"], "config: all layer widths must be >= 1"),
+        (["run", "--config", "{tmp}/sweep_field.json"], "config: sweep grid names unknown fields ['bogus']"),
     ],
     ids=[
         "train-header-only",
@@ -440,6 +450,13 @@ def test_cli_imports_no_private_names():
         "sweep-value-not-a-list",
         "passes-below-one",
         "external-sweep-without-dev-dump",
+        "folds-below-two",
+        "dropout-out-of-range",
+        "batch-size-below-one",
+        "learning-rate-not-positive",
+        "epochs-negative",
+        "hidden-dims-below-one",
+        "sweep-field-unknown",
     ],
 )
 def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, argv, message):
@@ -460,6 +477,11 @@ def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, 
             "dump": str(tmp_path / "dump.jsonl"),
             "dev_dataset": str(tmp_path / "data.jsonl"),
             "sweep": {"t1": [0.2, 0.3]},
+        },
+        "sweep_field": {
+            "dataset": str(tmp_path / "data.jsonl"),
+            "dev_dataset": str(tmp_path / "data.jsonl"),
+            "sweep": {"bogus": [0.1]},
         },
     }
     for name, doc in docs.items():
@@ -603,3 +625,38 @@ def test_decide_refuses_non_number_features_and_passes(tmp_path, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {where} must be numbers, got '0.5'\n"
         assert not out.exists()
+
+
+def test_evaluate_refuses_a_model_of_another_class_count(tmp_path, capsys):
+    three, two, ckpt = tmp_path / "three.jsonl", tmp_path / "two.jsonl", tmp_path / "model.json"
+    main(["make-data", "--out", str(three), "--n", "30", "--classes", "3", "--seed", "1"])
+    main(["make-data", "--out", str(two), "--n", "20", "--seed", "2"])
+    assert main(["train", "--dataset", str(three), "--out", str(ckpt), "--epochs", "1"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(ckpt), "--dataset", str(two)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: model has 3 classes, the dataset has class_count 2\n"
+
+
+@pytest.mark.parametrize("key", ["test_dataset", "dev_dataset"])
+def test_run_refuses_a_split_of_another_class_count(tmp_path, capsys, key):
+    data, split, out = tmp_path / "data.jsonl", tmp_path / "split.jsonl", tmp_path / "run"
+    main(["make-data", "--out", str(data), "--n", "20", "--seed", "1"])
+    main(["make-data", "--out", str(split), "--n", "30", "--classes", "3", "--seed", "2"])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": str(data), key: str(split), "out": str(out), "epochs": 1}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {split}: class_count 3 differs from the dataset's 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("names, shown", [('"ab"', "'ab'"), ("[1, null]", "[1, None]")], ids=["string", "not-strings"])
+def test_class_names_must_be_a_list_of_strings(tmp_path, capsys, names, shown):
+    data, out = tmp_path / "data.jsonl", tmp_path / "noisy.jsonl"
+    data.write_text(f'{{"class_count": 2, "class_names": {names}}}\n{{"id": "a", "label": 0, "features": [1.0]}}\n')
+    assert main(["inject-noise", "--dataset", str(data), "--out", str(out)]) == 1
+    message = f"header class_names must be a list of strings, got {shown}"
+    assert capsys.readouterr().err == f"error: {data}: line 1: {message}\n"
+    assert not out.exists()

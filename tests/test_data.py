@@ -572,6 +572,31 @@ def test_load_then_save_is_byte_identical_and_examples_are_the_records(tmp_path,
     assert Dataset.from_examples(ds.class_count, records, ds.class_names).examples == records
 
 
+def _columns_of(ds):
+    """A dataset's columns as comparable values, dtypes and feature bytes included."""
+    features = None if ds.features is None else (ds.features.shape, ds.features.tobytes())
+    gold = None if ds.gold is None else (ds.gold.dtype, ds.gold.tolist())
+    return ds.class_count, ds.class_names, ds.ids, ds.labels.dtype, ds.labels.tolist(), gold, features, ds.tokens
+
+
+@pytest.mark.parametrize(
+    "lines, records", [(FEATURE_LINES, FEATURE_RECORDS), (TOKEN_LINES, TOKEN_RECORDS)], ids=["features", "tokens"]
+)
+def test_load_dataset_builds_no_records_and_equals_from_examples(tmp_path, monkeypatch, lines, records):
+    path = _write(tmp_path, lines)
+    built = []
+    record_init = LabeledExample.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        record_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LabeledExample, "__init__", counted_init)
+    ds = load_dataset(path)
+    assert built == []
+    assert _columns_of(ds) == _columns_of(Dataset.from_examples(ds.class_count, records, ds.class_names))
+
+
 def test_derived_datasets_share_the_feature_matrix(tmp_path):
     ds = load_dataset(_write(tmp_path, FEATURE_LINES))
     assert ds.strip_gold().features is ds.features

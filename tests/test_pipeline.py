@@ -162,18 +162,17 @@ def test_three_class_ordinal_quantile_pipeline(tmp_path):
     assert result.report["detection"]["corrupted_count"] == 24
 
 
-def test_sweep_grid_fields_must_match_policy(tmp_path, rng):
-    dev, dump = _sweep_fixture(tmp_path, rng)
-    config = PipelineConfig(
-        dataset="unused.jsonl",
-        sentinel="external",
-        dump=dump,
-        dev_dump=dump,
-        policy="overwrite",
-        sweep={"q1": [0.8]},
-    )
-    with pytest.raises(ValueError, match="unknown fields"):
-        sweep_thresholds(config, dev)
+def test_sweep_grid_fields_must_match_policy():
+    # refused when the config is built, before any data is read
+    with pytest.raises(ValueError, match=r"unknown fields \['q1'\] for policy 'overwrite'"):
+        PipelineConfig(
+            dataset="unused.jsonl",
+            sentinel="external",
+            dump="unused-dump.jsonl",
+            dev_dump="unused-dump.jsonl",
+            policy="overwrite",
+            sweep={"q1": [0.8]},
+        )
 
 
 def test_zero_rate_run_produces_report(tmp_path):
@@ -444,6 +443,24 @@ def test_readme_configs_load():
     assert len(blocks) >= 4
     for block in blocks:
         config_from_dict(json.loads(block))
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, rng):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"```python\n(.*?)```", readme.split("## Library use", 1)[1], flags=re.S).group(1)
+    dataset = make_blobs(30, 2, 2, ((-2.0, 0.0), (2.0, 0.0)), 1.0, 3).strip_gold()
+    save_distributions(PassStack(dataset.ids, rng.dirichlet(np.ones(3), size=(30, 10))), str(tmp_path / "dump.jsonl"))
+    mapping = {
+        "classes": ["entailment", "neutral", "contradiction"],
+        "roles": ["supports_positive", "abstain", "supports_negative"],
+    }
+    (tmp_path / "mapping.json").write_text(json.dumps(mapping))
+    monkeypatch.chdir(tmp_path)
+    namespace = {"dataset": dataset}
+    exec(snippet, namespace)
+    assert [d.example_id for d in namespace["decisions"]] == list(dataset.ids)
+    report = namespace["report"]
+    assert report.kept + report.removed == len(dataset) == len(namespace["cleaned"]) + report.removed
 
 
 def test_stock_benchmark_run_builds_no_records_and_shares_every_feature_matrix(tmp_path, monkeypatch):

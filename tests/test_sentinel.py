@@ -81,10 +81,13 @@ def test_ingest_external_dump(tmp_path, rng, monkeypatch):
     save_distributions(dists, str(path))
     loaded = []
     monkeypatch.setattr(sentinel, "load_distributions", lambda p: loaded.append(load_distributions(p)) or loaded[-1])
-    in_order = ingest_external_dump(str(path), 10, 3, ["a", "b", "c"])
-    assert in_order is loaded[0]  # a dump in dataset order is not copied
-    reordered = ingest_external_dump(str(path), 10, 3, ["c", "a", "b"])
-    assert reordered.ids == ("c", "a", "b")
+    ids = ("a", "b", "c")
+    in_order = ingest_external_dump(str(path), 10, 3, ids)
+    # a dump in dataset order keeps its passes array; the stack holds the dataset's ids tuple
+    assert in_order.passes is loaded[0].passes and in_order.ids is ids
+    reordered_ids = ("c", "a", "b")
+    reordered = ingest_external_dump(str(path), 10, 3, reordered_ids)
+    assert reordered.ids is reordered_ids
     for i, exid in enumerate(reordered.ids):
         assert np.array_equal(reordered.passes[i], dists["abc".index(exid)].passes)
 
