@@ -375,7 +375,3 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,8 +5,10 @@ A dataset file is one JSON header line ``{"class_count": C, "class_names": [...]
 followed by one record per example.  It loads as one columnar ``Dataset``:
 a tuple of ids, an int label column, an optional int gold column, and either
 an (n, d) float feature matrix or each example's tagged tokens.  Each line is
-checked, located by file and line, and appended straight to the columns;
-``Dataset.examples`` rebuilds per-example ``LabeledExample`` records as a view.
+checked where it is read, against the file's schema and feature dimension as
+well, and a failure is located by file and line; the line is then appended
+straight to the columns.  ``Dataset.examples`` builds plain ``LabeledExample``
+records from the columns for code that wants them.
 Noise injection, gold stripping, fold subsets and cleaning derive new
 datasets that share the parent's feature matrix: a label column is replaced,
 the gold column dropped, or the examples picked by an index array.
@@ -23,7 +25,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -64,10 +66,10 @@ class TaggedToken:
             )
 
 
-@dataclass(frozen=True)
-class LabeledExample:
+class LabeledExample(NamedTuple):
     """The record of one dataset line: an example carrying either a feature
-    vector or tagged tokens.  ``Dataset.examples`` yields them as a view.
+    vector or tagged tokens.  ``Dataset.examples`` builds them from the
+    columns; nothing else takes or checks one.
 
     ``gold_label`` is benchmark-only ground truth; strip it (``Dataset.strip_gold``)
     before anything that makes decisions can see it.
@@ -78,25 +80,6 @@ class LabeledExample:
     features: tuple[float, ...] | None = None
     tokens: tuple[TaggedToken, ...] | None = None
     gold_label: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.features is None) == (self.tokens is None):
-            raise DataFormatError(
-                f"example {self.id!r}: exactly one of features/tokens must be present"
-            )
-        if self.features is not None:
-            object.__setattr__(self, "features", tuple(float(v) for v in self.features))
-        if self.tokens is not None:
-            object.__setattr__(self, "tokens", tuple(self.tokens))
-
-
-def _view(exid: str, label: int, features, tokens, gold: int) -> LabeledExample:
-    """A LabeledExample of already validated columns, skipping ``__post_init__``."""
-    ex = object.__new__(LabeledExample)
-    ex.__dict__.update(
-        id=exid, label=label, features=features, tokens=tokens, gold_label=None if gold == NO_GOLD else gold
-    )
-    return ex
 
 
 def _ints(values) -> np.ndarray:
@@ -185,29 +168,23 @@ class Dataset:
             raise DataFormatError(f"example {self.ids[j]!r}: {name} {arr[j]} out of range{limit}")
         return _read_only(arr.astype(np.int64, copy=False))
 
-    @classmethod
-    def from_examples(cls, class_count: int, examples: Iterable[LabeledExample], class_names=None) -> "Dataset":
-        """A dataset of per-example records, appended to columns one at a time."""
-        columns: tuple[list, ...] = ([], [], [], [], [])
-        for ex in examples:
-            has_features = ex.features is not None
-            _append(columns, ex.id, ex.label, ex.gold_label, ex.features if has_features else ex.tokens, has_features)
-        return _assemble(class_count, class_names, *columns)
-
     def __len__(self) -> int:
         return len(self.ids)
 
     @property
     def examples(self) -> tuple[LabeledExample, ...]:
-        """The examples as records, built from the columns on each access without re-validation."""
+        """The examples as records, built from the columns on each access."""
         if not self.ids:
             return ()
-        golds = self.gold.tolist() if self.gold is not None else itertools.repeat(NO_GOLD)
+        if self.gold is not None:
+            golds = [None if g == NO_GOLD else g for g in self.gold.tolist()]
+        else:
+            golds = itertools.repeat(None)
         if self.tokens is not None:
             features, tokens = itertools.repeat(None), self.tokens
         else:
             features, tokens = map(tuple, self.matrix().tolist()), itertools.repeat(None)
-        return tuple(map(_view, self.ids, self.labels.tolist(), features, tokens, golds))
+        return tuple(map(LabeledExample, self.ids, self.labels.tolist(), features, tokens, golds))
 
     @property
     def feature_dim(self) -> int | None:
@@ -263,40 +240,6 @@ def _first_repeat(ids) -> str | None:
         if exid in seen:
             return exid
         seen.add(exid)
-
-
-def _append(columns: tuple[list, ...], *values) -> None:
-    """Append one example's id, label, gold label, payload (features or tokens)
-    and whether it carries features to ``columns``, one value to each."""
-    for column, value in zip(columns, values):
-        column.append(value)
-
-
-def _assemble(class_count: int, class_names, ids, labels, golds, payloads, has_features) -> Dataset:
-    """A dataset of ``_append``ed columns.  Examples must share one schema and
-    feature dimension; the first example that breaks either is named.  A
-    negative gold label is refused here, since the column keeps ``NO_GOLD``
-    for a missing one."""
-    if not ids:
-        return Dataset(class_count, class_names=class_names)
-    schema, other = (FEATURES, TOKENS) if has_features[0] else (TOKENS, FEATURES)
-    if has_features.count(has_features[0]) != len(ids):
-        j = has_features.index(not has_features[0])
-        raise DataFormatError(f"example {ids[j]!r}: mixed schemas ({other} after {schema})")
-    gold = None
-    if golds.count(None) != len(ids):
-        negative = next((j for j, g in enumerate(golds) if g is not None and g < 0), None)
-        if negative is not None:
-            raise DataFormatError(f"example {ids[negative]!r}: gold_label {golds[negative]} out of range")
-        gold = _ints([NO_GOLD if g is None else g for g in golds])
-    if schema == TOKENS:
-        return Dataset(class_count, ids, _ints(labels), tokens=payloads, gold=gold, class_names=class_names)
-    dim = len(payloads[0])
-    for j, vector in enumerate(payloads):
-        if len(vector) != dim:
-            raise DataFormatError(f"example {ids[j]!r}: feature dimension {len(vector)} differs from {dim}")
-    features = np.array(payloads, dtype=float).reshape(len(ids), dim)
-    return Dataset(class_count, ids, _ints(labels), features, gold=gold, class_names=class_names)
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,8 +429,11 @@ def _dataset_header(rec: dict) -> tuple[int, tuple[str, ...] | None]:
     return rec["class_count"], tuple(names) if names else None
 
 
-def _append_record(columns: tuple[list, ...], rec: dict, expected_schema: str | None) -> None:
-    """Check one dataset record and append it to ``columns``."""
+def _append_record(columns: tuple[list, ...], layout: dict, rec: dict, expected_schema: str | None) -> None:
+    """Check one dataset record and append its id, label, gold label (``NO_GOLD``
+    for none) and payload to ``columns``.  ``layout`` keeps the file's schema and
+    feature dimension, fixed by the first record that shows each: a record that
+    breaks either is refused at its line."""
     exid, label, gold = rec["id"], rec["label"], rec.get("gold_label")
     if not isinstance(exid, str):
         raise TypeError("id must be a string")
@@ -496,9 +442,6 @@ def _append_record(columns: tuple[list, ...], rec: dict, expected_schema: str | 
     has_features = "features" in rec
     if has_features == ("tokens" in rec):
         raise DataFormatError("record needs exactly one of features/tokens")
-    schema = FEATURES if has_features else TOKENS
-    if expected_schema is not None and schema != expected_schema:
-        raise DataFormatError(f"record schema {schema} does not match expected {expected_schema}")
     if has_features:
         payload = tuple(rec["features"])
         if not _NUMBER_TYPES.issuperset(map(type, payload)):
@@ -511,7 +454,21 @@ def _append_record(columns: tuple[list, ...], rec: dict, expected_schema: str | 
             TaggedToken(t["text"], t["pos"], bool(t.get("is_compound_head")), bool(t.get("is_entity")))
             for t in rec["tokens"]
         )
-    _append(columns, exid, label, gold, payload, has_features)
+    schema = FEATURES if has_features else TOKENS
+    if expected_schema is not None and schema != expected_schema:
+        raise DataFormatError(f"record schema {schema} does not match expected {expected_schema}")
+    first = layout.setdefault("schema", schema)
+    if schema != first:
+        raise DataFormatError(f"example {exid!r}: mixed schemas ({schema} after {first})")
+    if has_features and len(payload) != layout.setdefault("dim", len(payload)):
+        raise DataFormatError(f"example {exid!r}: feature dimension {len(payload)} differs from {layout['dim']}")
+    if gold is not None and gold < 0:  # the column keeps NO_GOLD for a missing one
+        raise DataFormatError(f"example {exid!r}: gold_label {gold} out of range")
+    ids, labels, golds, payloads = columns
+    ids.append(exid)
+    labels.append(label)
+    golds.append(NO_GOLD if gold is None else gold)
+    payloads.append(payload)
 
 
 def load_dataset(path: str, expected_schema: str | None = None) -> Dataset:
@@ -519,17 +476,27 @@ def load_dataset(path: str, expected_schema: str | None = None) -> Dataset:
 
     ``expected_schema`` pins the record kind (``"features"`` or ``"tokens"``);
     ``None`` accepts either but still requires the file to be uniform.  Each
-    line is checked, located and appended straight to the columns.
+    line is checked and located, the file's schema and feature dimension
+    included, as it is appended to the columns; the columns are then checked
+    once, as arrays, by the ``Dataset`` constructor (repeated ids, labels and
+    gold labels beyond the class count), whose errors name the file.
     """
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    rows = read_jsonl(path, lambda rec: _append_record(columns, rec, expected_schema), _dataset_header)
+    columns: tuple[list, ...] = ([], [], [], [])
+    layout: dict = {}
+    rows = read_jsonl(path, lambda rec: _append_record(columns, layout, rec, expected_schema), _dataset_header)
     header = next(rows, None)
     if header is None:
         raise DataFormatError(f"{path}: empty file, missing header line")
     for _ in rows:
         pass
+    (class_count, class_names), (ids, labels, golds, payloads) = header, columns
+    gold = _ints(golds) if golds.count(NO_GOLD) != len(golds) else None
     try:
-        return _assemble(*header, *columns)
+        if "dim" in layout:
+            features = np.array(payloads, dtype=float)
+            return Dataset(class_count, ids, _ints(labels), features, gold=gold, class_names=class_names)
+        tokens = payloads if payloads else None
+        return Dataset(class_count, ids, _ints(labels), tokens=tokens, gold=gold, class_names=class_names)
     except DataFormatError as err:
         raise located(path, err) from None
 

@@ -24,7 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    FEATURES,
     RECORD_ERRORS,
+    TOKENS,
     DataFormatError,
     Dataset,
     NO_GOLD,
@@ -211,9 +213,14 @@ class PipelineConfig:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
         if self.sentinel == "cv" and self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
-        # the training and architecture rules, checked before any data is read
+        # the training and architecture rules, checked before any data is read;
+        # the training fields share their keys, the architecture ones are named
         self.train_config()
-        ModelSpec(input_dim=1, hidden_dims=self.hidden_dims, class_count=2, dropout_rate=self.dropout)
+        for key, hidden_dims, dropout in (("hidden_dims", self.hidden_dims, 0.0), ("dropout", (1,), self.dropout)):
+            try:
+                ModelSpec(input_dim=1, hidden_dims=hidden_dims, class_count=2, dropout_rate=dropout)
+            except ValueError as err:
+                raise located(key, err) from None
         if self.sentinel == "external" and self.dump is None:
             raise ValueError("external sentinel needs a dump path")
         if self.sentinel == "cv" and self.dump is not None:
@@ -445,9 +452,39 @@ def sentinel_distributions(config: PipelineConfig, dataset: Dataset, dev: bool =
     dump = config.dev_dump if dev else config.dump
     if dump is None:
         raise ValueError("external sentinel needs a distribution dump for this dataset")
-    mapping = config.label_mapping
-    width = len(mapping.roles) if mapping is not None else dataset.class_count
-    return ingest_external_dump(dump, config.passes, width, dataset.ids), None
+    return ingest_external_dump(dump, config.passes, _sentinel_width(config, dataset), dataset.ids), None
+
+
+def _sentinel_width(config: PipelineConfig, dataset: Dataset) -> int:
+    """The class count of the sentinel's distributions: an external dump is as
+    wide as the mapping's classes, when one is named; otherwise as the dataset's."""
+    if config.sentinel == "external" and config.mapping is not None:
+        return len(config.label_mapping.roles)
+    return dataset.class_count
+
+
+def _layout(dataset: Dataset) -> dict:
+    """What a run's test and dev splits must share with its dataset, by name."""
+    schema = FEATURES if dataset.features is not None else TOKENS if dataset.tokens is not None else None
+    return {"class_count": dataset.class_count, "schema": schema, "feature dimension": dataset.feature_dim}
+
+
+def _refuse_unfit(config: PipelineConfig, dataset: Dataset, retrains: bool) -> None:
+    """Refuse, before any model trains, a dataset that the sentinel, the retrain
+    or the policy could not take, with the message that stage would give,
+    located at the dataset.  ``decide_*`` keep their per-row checks for direct
+    callers."""
+    width = _sentinel_width(config, dataset)
+    try:
+        if config.sentinel == "cv" or retrains:
+            config.model_spec(dataset)
+        config.resolved_thresholds(dataset.class_count)
+        if config.policy == "overwrite" and width != 2:
+            raise ValueError("overwrite policy needs a binary (C = 2) summary")
+        if config.policy == "filter" and config.mapping is None and width != 2:
+            raise ValueError("filter policy needs a label-space mapping for a non-binary sentinel")
+    except ValueError as err:
+        raise located(config.dataset or "benchmark", err) from None
 
 
 def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
@@ -556,11 +593,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 test = load_dataset(config.test_dataset)
             if config.dev_dataset:
                 dev = load_dataset(config.dev_dataset)
+            layout = _layout(working)
             for path, split in ((config.test_dataset, test), (config.dev_dataset, dev)):
-                if split is not None and split.class_count != working.class_count:
-                    raise DataFormatError(
-                        f"{path}: class_count {split.class_count} differs from the dataset's {working.class_count}"
-                    )
+                for name, value in _layout(split).items() if split is not None else ():
+                    if value != layout[name]:
+                        raise DataFormatError(f"{path}: {name} {value} differs from the dataset's {layout[name]}")
+        _refuse_unfit(config, working, retrains=test is not None)
 
     sweep_result = None
     with _stage("thresholds"):

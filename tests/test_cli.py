@@ -1,9 +1,13 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import labelaudit
 from labelaudit import cli
 from labelaudit.cli import main
 from labelaudit.data import load_dataset, load_distributions
@@ -432,11 +436,11 @@ RUN = ["run", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"]
         (["run", "--config", "{tmp}/passes.json"], "config: passes must be >= 1, got -1"),
         (["run", "--config", "{tmp}/dev_dump.json"], "sweep with the external sentinel requires a dev_dump"),
         ([*RUN, "--folds", "1"], "config: folds must be >= 2, got 1"),
-        ([*RUN, "--dropout", "1.5"], "config: dropout_rate must lie in [0, 1), got 1.5"),
+        ([*RUN, "--dropout", "1.5"], "config: dropout: dropout_rate must lie in [0, 1), got 1.5"),
         ([*RUN, "--batch-size", "0"], "config: batch_size must be >= 1"),
         ([*RUN, "--learning-rate", "-1"], "config: learning_rate must be positive"),
         ([*RUN, "--epochs", "-1"], "config: epochs must be >= 0"),
-        ([*RUN, "--hidden-dims", "0"], "config: all layer widths must be >= 1"),
+        ([*RUN, "--hidden-dims", "0"], "config: hidden_dims: all layer widths must be >= 1"),
         (["run", "--config", "{tmp}/sweep_field.json"], "config: sweep grid names unknown fields ['bogus']"),
     ],
     ids=[
@@ -593,13 +597,13 @@ def test_each_command_reads_the_mapping_once(tmp_path, monkeypatch, command):
             "example 'b': label 1180591620717411303424 out of range for class_count 2",
         ),
         ('{"id": "b", "label": 1, "gold_label": 5, "features": [2.0]}', "", "example 'b': gold_label 5 out of range"),
-        ('{"id": "b", "label": 1, "gold_label": -1, "features": [2.0]}', "", "example 'b': gold_label -1 out of range"),
+        ('{"id": "b", "label": 1, "gold_label": -1, "features": [2.0]}', ": line 3", "example 'b': gold_label -1 out of range"),
         (
             '{"id": "b", "label": 1, "tokens": [{"text": "hi", "pos": "other"}]}',
-            "",
+            ": line 3",
             "example 'b': mixed schemas (tokens after features)",
         ),
-        ('{"id": "b", "label": 1, "features": [2.0, 3.0]}', "", "example 'b': feature dimension 2 differs from 1"),
+        ('{"id": "b", "label": 1, "features": [2.0, 3.0]}', ": line 3", "example 'b': feature dimension 2 differs from 1"),
         ('{"id": "b", "label": 1, "features": [NaN]}', ": line 3", "features must be finite numbers"),
         ('{"id": "b", "label": 1, "features": [Infinity]}', ": line 3", "features must be finite numbers"),
     ],
@@ -660,3 +664,145 @@ def test_class_names_must_be_a_list_of_strings(tmp_path, capsys, names, shown):
     message = f"header class_names must be a list of strings, got {shown}"
     assert capsys.readouterr().err == f"error: {data}: line 1: {message}\n"
     assert not out.exists()
+
+
+TOKEN_DATA = (
+    '{"class_count": 2}\n'
+    '{"id": "t0", "label": 0, "tokens": [{"text": "berry", "pos": "noun", "is_compound_head": true}]}\n'
+    '{"id": "t1", "label": 1, "gold_label": 0, "tokens": [{"text": "Paris", "pos": "propn", "is_entity": true}]}\n'
+    '{"id": "t2", "label": 1, "tokens": [{"text": "is", "pos": "verb"}]}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "key, split_flags, message",
+    [
+        ("test_dataset", ["--d", "2"], "feature dimension 2 differs from the dataset's 4"),
+        ("test_dataset", None, "schema tokens differs from the dataset's features"),
+        ("dev_dataset", ["--d", "2"], "feature dimension 2 differs from the dataset's 4"),
+    ],
+    ids=["test-dimension", "test-tokens", "dev-dimension"],
+)
+def test_run_refuses_a_split_of_another_layout(tmp_path, capsys, key, split_flags, message):
+    data, split, out = tmp_path / "data.jsonl", tmp_path / "split.jsonl", tmp_path / "run"
+    main(["make-data", "--out", str(data), "--n", "20", "--d", "4", "--seed", "1"])
+    if split_flags is None:
+        split.write_text(TOKEN_DATA)
+    else:
+        main(["make-data", "--out", str(split), "--n", "20", "--seed", "2", *split_flags])
+    doc = {"dataset": str(data), key: str(split), "out": str(out), "epochs": 1, "folds": 2, "passes": 2}
+    if key == "dev_dataset":
+        doc["sweep"] = {"t1": [0.2, 0.3]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {split}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "classes, flags, message",
+    [
+        ("3", ["--policy", "overwrite"], "overwrite policy needs a binary (C = 2) summary"),
+        ("3", ["--policy", "filter"], "filter policy needs a label-space mapping for a non-binary sentinel"),
+        ("3", ["--policy", "quantile"], "quantile policy needs explicit thresholds for a non-binary label space"),
+        (None, ["--policy", "filter"], "the dataset has no feature vectors"),
+    ],
+    ids=["overwrite-three-classes", "filter-without-mapping", "quantile-without-thresholds", "cv-on-tokens"],
+)
+def test_run_refuses_a_policy_or_sentinel_the_dataset_cannot_take(tmp_path, capsys, monkeypatch, classes, flags, message):
+    from labelaudit import sentinel
+
+    data, out = tmp_path / "data.jsonl", tmp_path / "run"
+    if classes is None:
+        data.write_text(TOKEN_DATA)
+    else:
+        main(["make-data", "--out", str(data), "--n", "30", "--classes", classes, "--seed", "1"])
+    trained = []
+    monkeypatch.setattr(sentinel, "train", lambda *args: trained.append(args))
+    capsys.readouterr()
+    argv = ["run", "--dataset", str(data), "--out", str(out), "--folds", "2", "--passes", "2", "--epochs", "1"]
+    assert main([*argv, *flags]) == 1
+    assert capsys.readouterr().err == f"error: {data}: {message}\n"
+    assert trained == [] and not out.exists()
+
+
+def test_build_sentinel_writes_the_fold_assignment(tmp_path):
+    from labelaudit.mlp import ModelSpec, TrainConfig
+    from labelaudit.sentinel import build_cv_sentinel
+
+    data, dists, folds = tmp_path / "data.jsonl", tmp_path / "oof.jsonl", tmp_path / "folds.json"
+    main(["make-data", "--out", str(data), "--n", "20", "--seed", "6"])
+    argv = ["build-sentinel", "--dataset", str(data), "--out", str(dists), "--folds-out", str(folds)]
+    assert main([*argv, "--folds", "3", "--passes", "2", "--epochs", "1", "--hidden-dims", "4", "--seed", "7"]) == 0
+    dataset = load_dataset(str(data))
+    _, assignment = build_cv_sentinel(
+        dataset.strip_gold(), 3, ModelSpec(2, (4,), 2, 0.1), TrainConfig(0.3, 1, 64, seed=7), 2, 7
+    )
+    assert json.loads(folds.read_text()) == {"k": assignment.k, "fold_of": assignment.fold_of}
+
+
+def test_evaluate_writes_what_it_prints(tmp_path, capsys):
+    data, ckpt, out = tmp_path / "data.jsonl", tmp_path / "model.json", tmp_path / "eval.json"
+    main(["make-data", "--out", str(data), "--n", "20", "--seed", "3"])
+    assert main(["train", "--dataset", str(data), "--out", str(ckpt), "--epochs", "1"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(ckpt), "--dataset", str(data), "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert json.loads(out.read_text()) == printed and set(printed) >= {"accuracy", "f1"}
+
+
+def test_apply_removes_from_a_tokens_dataset(tmp_path):
+    data, decisions, out = tmp_path / "tokens.jsonl", tmp_path / "decisions.jsonl", tmp_path / "cleaned.jsonl"
+    data.write_text(TOKEN_DATA)
+    decisions.write_text('{"example_id": "t1", "verdict": "remove"}\n{"example_id": "t0", "verdict": "keep"}\n')
+    assert main(["apply", "--dataset", str(data), "--decisions", str(decisions), "--out", str(out)]) == 0
+    before, after = load_dataset(str(data)), load_dataset(str(out))
+    assert after.ids == ("t0", "t2") and after.labels.tolist() == [0, 1] and after.gold is None
+    assert after.tokens == (before.tokens[0], before.tokens[2])
+
+
+def test_text_report_shows_the_sweep_best(tmp_path):
+    config = {
+        "seed": 3,
+        "benchmark": {"n": 40, "dev_size": 20, "test_size": 10},
+        "hidden_dims": [4],
+        "epochs": 1,
+        "folds": 2,
+        "passes": 2,
+        "sweep": {"t1": [0.2, 0.3]},
+    }
+    cfg, out = tmp_path / "config.json", tmp_path / "run"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--format", "text"]) == 0
+    best = json.loads((out / "report.json").read_text())["sweep"]["best"]
+    lines = (out / "report.txt").read_text().splitlines()
+    at = lines.index("== sweep best ==")
+    assert json.loads(lines[at + 1]) == best and best["t1"] in (0.2, 0.3)
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["make-data", "--out", "{tmp}/made.jsonl", "--n", "5"], 0, ""),
+        (["inject-noise", "--dataset", "{tmp}/bad.jsonl", "--out", "{tmp}/noisy.jsonl"], 1, "{tmp}/bad.jsonl: line 2: "),
+        (
+            ["run", "--dataset", "{tmp}/made.jsonl", "--sentinel", "external", "--dump", "{tmp}/missing.jsonl",
+             "--out", "{tmp}/run"],
+            2,
+            "stage 'sentinel': ",
+        ),
+    ],
+    ids=["ok", "malformed-dataset", "missing-dump"],
+)
+def test_package_entry_point_exit_codes(tmp_path, argv, code, err):
+    (tmp_path / "bad.jsonl").write_text('{"class_count": 2}\n{"id": "a"}\n')
+    main(["make-data", "--out", str(tmp_path / "made.jsonl"), "--n", "5"])
+    src = str(Path(labelaudit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    args = [arg.format(tmp=tmp_path) for arg in argv]
+    command = [sys.executable, "-m", "labelaudit", *args]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    assert done.stderr.startswith(f"error: {err.format(tmp=tmp_path)}" if err else "")

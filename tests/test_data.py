@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 import labelaudit
 from labelaudit.data import (
+    NO_GOLD,
     DataFormatError,
     Dataset,
     PROB_TOL,
@@ -102,8 +103,9 @@ def test_mixed_schemas_rejected(tmp_path):
             '{"id": "b", "label": 0, "tokens": [{"text": "hi", "pos": "other"}]}',
         ],
     )
-    with pytest.raises(DataFormatError, match="schema"):
+    with pytest.raises(DataFormatError) as info:
         load_dataset(path)
+    assert str(info.value) == f"{path}: line 3: example 'b': mixed schemas (tokens after features)"
 
 
 def test_expected_schema_enforced(tmp_path):
@@ -131,15 +133,19 @@ def test_header_only_is_valid_empty_dataset(tmp_path):
     assert _fields(load_dataset(str(out))) == _fields(ds)
 
 
-def test_feature_dim_must_be_uniform():
-    with pytest.raises(DataFormatError, match="dimension"):
-        Dataset.from_examples(
-            2,
-            (
-                LabeledExample("a", 0, features=(1.0, 2.0)),
-                LabeledExample("b", 1, features=(1.0,)),
-            ),
-        )
+def test_feature_dim_must_be_uniform(tmp_path):
+    path = _write(
+        tmp_path,
+        [
+            '{"class_count": 2}',
+            '{"id": "a", "label": 0, "features": [1.0, 2.0]}',
+            "",
+            '{"id": "b", "label": 1, "features": [1.0]}',
+        ],
+    )
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}: line 4: example 'b': feature dimension 1 differs from 2"
 
 
 def test_class_names_length_checked():
@@ -147,11 +153,31 @@ def test_class_names_length_checked():
         Dataset(3, (), class_names=("a", "b"))
 
 
-def test_example_needs_exactly_one_payload():
-    with pytest.raises(DataFormatError):
-        LabeledExample("a", 0)
-    with pytest.raises(DataFormatError):
-        LabeledExample("a", 0, features=(1.0,), tokens=(TaggedToken("hi", "other"),))
+def test_example_needs_exactly_one_payload(tmp_path):
+    for record in ('{"id": "a", "label": 0}', '{"id": "a", "label": 0, "features": [1.0], "tokens": []}'):
+        path = _write(tmp_path, ['{"class_count": 2}', record])
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: line 2: record needs exactly one of features/tokens"
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (
+            '{"id": "b", "label": 1, "tokens": [{"text": "hi", "pos": "other"}]}',
+            "record schema tokens does not match expected features",
+        ),
+        # a malformed token line reports its own error before any schema check
+        ('{"id": "b", "label": 1, "tokens": [{"text": "hi"}]}', "missing field 'pos'"),
+    ],
+    ids=["expected-schema", "token-error-first"],
+)
+def test_expected_schema_is_checked_at_the_line_after_its_payload(tmp_path, record, message):
+    path = _write(tmp_path, ['{"class_count": 2}', '{"id": "a", "label": 0, "features": [1.0]}', record])
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(path, expected_schema="features")
+    assert str(info.value) == f"{path}: line 3: {message}"
 
 
 def test_compound_head_requires_noun():
@@ -161,13 +187,7 @@ def test_compound_head_requires_noun():
 
 
 def test_strip_gold_removes_every_gold_label():
-    ds = Dataset.from_examples(
-        2,
-        (
-            LabeledExample("a", 0, features=(1.0,), gold_label=1),
-            LabeledExample("b", 1, features=(2.0,)),
-        ),
-    )
+    ds = Dataset(2, ("a", "b"), [0, 1], [[1.0], [2.0]], gold=[1, NO_GOLD])
     view = ds.strip_gold()
     assert all(ex.gold_label is None for ex in view.examples)
     assert [ex.label for ex in view.examples] == [0, 1]
@@ -181,25 +201,21 @@ def feature_datasets(draw):
     class_count = draw(st.integers(2, 4))
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(0, 10))
-    examples = []
-    for i in range(n):
-        gold = draw(st.one_of(st.none(), st.integers(0, class_count - 1)))
-        examples.append(
-            LabeledExample(
-                id=f"e{i}",
-                label=draw(st.integers(0, class_count - 1)),
-                features=tuple(draw(finite_floats) for _ in range(dim)),
-                gold_label=gold,
-            )
-        )
-    return Dataset.from_examples(class_count, tuple(examples))
+    if n == 0:
+        return Dataset(class_count)
+    classes = st.integers(0, class_count - 1)
+    labels = [draw(classes) for _ in range(n)]
+    features = [[draw(finite_floats) for _ in range(dim)] for _ in range(n)]
+    golds = [draw(st.one_of(st.just(NO_GOLD), classes)) for _ in range(n)]
+    gold = golds if golds.count(NO_GOLD) != n else None  # a file without gold labels loads without the column
+    return Dataset(class_count, [f"e{i}" for i in range(n)], labels, features, gold=gold)
 
 
 @st.composite
 def token_datasets(draw):
     class_count = draw(st.integers(2, 3))
     n = draw(st.integers(1, 6))
-    examples = []
+    labels, sequences = [], []
     for i in range(n):
         tokens = []
         for _ in range(draw(st.integers(1, 6))):
@@ -213,10 +229,9 @@ def token_datasets(draw):
                     is_entity=draw(st.booleans()),
                 )
             )
-        examples.append(
-            LabeledExample(id=f"t{i}", label=draw(st.integers(0, class_count - 1)), tokens=tuple(tokens))
-        )
-    return Dataset.from_examples(class_count, tuple(examples))
+        labels.append(draw(st.integers(0, class_count - 1)))
+        sequences.append(tuple(tokens))
+    return Dataset(class_count, [f"t{i}" for i in range(n)], labels, tokens=sequences)
 
 
 @given(feature_datasets())
@@ -238,7 +253,7 @@ def test_save_load_roundtrip_tokens(ds):
 
 
 def test_gold_label_preserved_on_roundtrip(tmp_path):
-    ds = Dataset.from_examples(2, (LabeledExample("a", 0, features=(0.5,), gold_label=1),))
+    ds = Dataset(2, ("a",), [0], [[0.5]], gold=[1])
     path = tmp_path / "ds.jsonl"
     save_dataset(ds, str(path))
     loaded = load_dataset(str(path))
@@ -569,7 +584,6 @@ def test_load_then_save_is_byte_identical_and_examples_are_the_records(tmp_path,
     save_dataset(ds, str(out))
     assert out.read_bytes() == Path(path).read_bytes()
     assert ds.examples == records
-    assert Dataset.from_examples(ds.class_count, records, ds.class_names).examples == records
 
 
 def _columns_of(ds):
@@ -582,19 +596,26 @@ def _columns_of(ds):
 @pytest.mark.parametrize(
     "lines, records", [(FEATURE_LINES, FEATURE_RECORDS), (TOKEN_LINES, TOKEN_RECORDS)], ids=["features", "tokens"]
 )
-def test_load_dataset_builds_no_records_and_equals_from_examples(tmp_path, monkeypatch, lines, records):
+def test_load_dataset_builds_no_records_and_holds_the_records_as_columns(tmp_path, monkeypatch, lines, records):
     path = _write(tmp_path, lines)
     built = []
-    record_init = LabeledExample.__init__
+    record_new = LabeledExample.__new__
 
-    def counted_init(self, *args, **kwargs):
+    def counted_new(cls, *args, **kwargs):
         built.append(args)
-        record_init(self, *args, **kwargs)
+        return record_new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(LabeledExample, "__init__", counted_init)
+    monkeypatch.setattr(LabeledExample, "__new__", counted_new)
     ds = load_dataset(path)
     assert built == []
-    assert _columns_of(ds) == _columns_of(Dataset.from_examples(ds.class_count, records, ds.class_names))
+    assert ds.examples == records and len(built) == len(records)  # the counter is live
+    ids, labels, features, tokens, golds = zip(*records)
+    gold = [NO_GOLD if g is None else g for g in golds] if any(g is not None for g in golds) else None
+    if features[0] is None:
+        expected = Dataset(ds.class_count, ids, labels, tokens=tokens, gold=gold, class_names=ds.class_names)
+    else:
+        expected = Dataset(ds.class_count, ids, labels, features, gold=gold, class_names=ds.class_names)
+    assert _columns_of(ds) == _columns_of(expected)
 
 
 def test_derived_datasets_share_the_feature_matrix(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from labelaudit import mlp
-from labelaudit.data import Dataset, LabeledExample
+from labelaudit.data import Dataset
 from labelaudit.mlp import (
     Model,
     ModelSpec,
@@ -125,7 +125,7 @@ def test_train_rejects_empty_and_mismatched_data():
     model = init_model(spec, 0)
     with pytest.raises(ValueError):
         train(model, Dataset(2), TrainConfig(0.1, 1, 8, seed=0))
-    bad = Dataset.from_examples(2, (LabeledExample("a", 0, features=(1.0, 2.0, 3.0)),))
+    bad = Dataset(2, ("a",), [0], [[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
         train(model, bad, TrainConfig(0.1, 1, 8, seed=0))
 

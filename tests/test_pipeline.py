@@ -288,20 +288,13 @@ def test_external_dump_errors_become_stage_failures(tmp_path):
 
 def _sweep_fixture(tmp_path, rng):
     """Dev set with two corrupted examples and a hand-built dump that separates them."""
-    from labelaudit.data import Dataset, LabeledExample, save_dataset
+    from labelaudit.data import Dataset
 
-    examples = (
-        LabeledExample("e0", 1, features=(0.0, 0.0), gold_label=0),  # corrupted positive
-        LabeledExample("e1", 1, features=(1.0, 0.0), gold_label=1),
-        LabeledExample("e2", 0, features=(2.0, 0.0), gold_label=0),
-        LabeledExample("e3", 0, features=(3.0, 0.0), gold_label=1),  # corrupted negative
-    )
-    dev = Dataset.from_examples(2, examples)
+    ids = ("e0", "e1", "e2", "e3")
+    # e0 is a corrupted positive, e3 a corrupted negative
+    dev = Dataset(2, ids, [1, 1, 0, 0], [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], gold=[0, 1, 0, 1])
     mean_pos = {"e0": 0.2, "e1": 0.8, "e2": 0.1, "e3": 0.9}
-    dists = [
-        PredictiveDistribution(ex.id, [[1 - mean_pos[ex.id], mean_pos[ex.id]]] * 5)
-        for ex in examples
-    ]
+    dists = [PredictiveDistribution(exid, [[1 - mean_pos[exid], mean_pos[exid]]] * 5) for exid in ids]
     dump = tmp_path / "dev_dump.jsonl"
     save_distributions(dists, str(dump))
     return dev, str(dump)
@@ -471,12 +464,12 @@ def test_stock_benchmark_run_builds_no_records_and_shares_every_feature_matrix(t
 
     records, views, stripped, folds, applied, decision_views = [], [], [], [], [], []
     decision_view = policy._decision_view
-    record_init, examples, strip_gold = LabeledExample.__init__, Dataset.examples, Dataset.strip_gold
+    record_new, examples, strip_gold = LabeledExample.__new__, Dataset.examples, Dataset.strip_gold
     sentinel_train, apply_decisions = sentinel.train, pipeline.apply_decisions
 
-    def counted_init(self, *args, **kwargs):
+    def counted_new(cls, *args, **kwargs):
         records.append(args)
-        record_init(self, *args, **kwargs)
+        return record_new(cls, *args, **kwargs)
 
     def counted_examples(self):
         views.append(self)
@@ -500,7 +493,7 @@ def test_stock_benchmark_run_builds_no_records_and_shares_every_feature_matrix(t
         return decision_view(*columns)
 
     monkeypatch.setattr(policy, "_decision_view", counted_decision_view)
-    monkeypatch.setattr(LabeledExample, "__init__", counted_init)
+    monkeypatch.setattr(LabeledExample, "__new__", counted_new)
     monkeypatch.setattr(Dataset, "examples", property(counted_examples))
     monkeypatch.setattr(Dataset, "strip_gold", recorded_strip_gold)
     monkeypatch.setattr(sentinel, "train", recorded_train)

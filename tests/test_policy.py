@@ -5,7 +5,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from labelaudit.data import Dataset, LabeledExample, PredictiveDistribution
+from labelaudit.data import Dataset, PredictiveDistribution
 from labelaudit.noisebench import NoiseMask, detection_scores
 from labelaudit.pipeline import config_from_dict
 from labelaudit.policy import (
@@ -157,12 +157,7 @@ def test_quantile_threshold_validation():
 
 
 def _dataset(n, label=1):
-    return Dataset.from_examples(
-        2,
-        tuple(
-            LabeledExample(id=f"x{i}", label=label, features=(float(i),)) for i in range(n)
-        ),
-    )
+    return Dataset(2, [f"x{i}" for i in range(n)], [label] * n, np.arange(n, dtype=float)[:, None])
 
 
 def test_apply_remove_counts():
