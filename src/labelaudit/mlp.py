@@ -3,10 +3,10 @@
 Dropout follows the inverted convention: surviving hidden activations are scaled
 by 1/(1-p) at masking time, so plain inference needs no correction.  Stochastic
 multi-pass inference (``mcd_predict``) re-applies fresh masks per pass to an
-already trained model: pass t still draws its masks from numpy's
-``default_rng(mix64(seed, t))``, whose seed words callers may derive in bulk
-(``seeding.pass_seed_words``, tested against numpy's own ``SeedSequence``),
-and all T passes then run as one stacked forward.
+already trained model: pass t's masks are still the draws of numpy's
+``default_rng(mix64(seed, t))``, which callers may compute in bulk with the
+vectorized PCG64 of ``seeding.keep_mask`` (tested against the installed
+numpy), and all T passes then run as one stacked forward.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, PredictiveDistribution, read_json, write_json
-from .seeding import _MASK64, checked_words, generator, pass_seed_words, words_generator
+from .seeding import _MASK64, generator, keep_mask, pass_seed_words
 
 CHECKPOINT_FORMAT = "labelaudit-model-v1"
 
@@ -246,14 +246,13 @@ def mcd_predict(
 ) -> PredictiveDistribution:
     """T stochastic forward passes with fresh Bernoulli(1-p) masks on every hidden layer.
 
-    Pass ``t`` draws its masks from numpy's ``default_rng(mix64(seed, t))``,
-    one mask per hidden layer in order, so passes are reproducible and
-    independently recomputable.  ``seed`` is an int, whose (T, 4) uint64 seed
-    words ``seeding.pass_seed_words`` derives here, or those words, which
-    callers derive in bulk for many examples at once; both give the same
-    bits, and either way each pass's generator is built from its words,
-    skipping numpy's per-pass seed hashing.  Every pass shares the input, so the first hidden layer runs once
-    as a 1-row product; the masked passes then run as one forward over a
+    Pass ``t`` keeps the hidden units, first layer first, where numpy's
+    ``default_rng(mix64(seed, t))`` draws at least p, so passes are
+    reproducible and independently recomputable.  ``seed`` is an int, whose
+    (T, sum(hidden_dims)) bool keep mask ``seeding.keep_mask`` draws here, or
+    that mask, which callers draw in bulk for many examples; both give the
+    same bits.  Every pass shares the input, so the first hidden layer runs
+    once as a 1-row product; the masked passes then run as one forward over a
     (T, 1, h) stack, which rounds exactly as T separate 1-row forwards would.
     With dropout_rate 0 every row equals ``predict``.
     """
@@ -262,17 +261,17 @@ def mcd_predict(
     x = np.asarray(features, dtype=float)
     if x.shape != (model.spec.input_dim,):
         raise ValueError(f"features shape {x.shape} does not match input_dim {model.spec.input_dim}")
-    if isinstance(seed, (int, np.integer)):
-        words = pass_seed_words(np.array([int(seed) & _MASK64], dtype=np.uint64), t_count)[0]
-    else:
-        words = checked_words(seed, t_count)
+    hidden = sum(model.spec.hidden_dims)
     p = model.spec.dropout_rate
+    if isinstance(seed, (int, np.integer)):
+        keep = keep_mask(pass_seed_words(np.array([int(seed) & _MASK64], dtype=np.uint64), t_count)[0], hidden, p)
+    else:
+        keep = np.asarray(seed)
+        if keep.dtype != bool or keep.shape != (t_count, hidden):
+            raise ValueError(f"keep mask must be bool of shape ({t_count}, {hidden}), got {keep.dtype} {keep.shape}")
     masks = None
     if p > 0.0:
-        draws = np.empty((t_count, 1, sum(model.spec.hidden_dims)))
-        for t in range(t_count):
-            words_generator(words[t]).random(out=draws[t, 0])
-        scaled = (draws >= p) / (1.0 - p)
+        scaled = keep[:, None, :] / (1.0 - p)
         masks, lo = [], 0
         for width in model.spec.hidden_dims:
             masks.append(scaled[..., lo : lo + width])

@@ -475,14 +475,17 @@ def _refuse_unfit(config: PipelineConfig, dataset: Dataset, retrains: bool) -> N
     located at the dataset.  ``decide_*`` keep their per-row checks for direct
     callers."""
     width = _sentinel_width(config, dataset)
+    mapping = config.label_mapping if config.policy == "filter" else None
     try:
         if config.sentinel == "cv" or retrains:
             config.model_spec(dataset)
         config.resolved_thresholds(dataset.class_count)
         if config.policy == "overwrite" and width != 2:
             raise ValueError("overwrite policy needs a binary (C = 2) summary")
-        if config.policy == "filter" and config.mapping is None and width != 2:
+        if config.policy == "filter" and mapping is None and width != 2:
             raise ValueError("filter policy needs a label-space mapping for a non-binary sentinel")
+        if mapping is not None and width != len(mapping.roles):
+            raise ValueError(f"distribution width {width} does not match mapping with {len(mapping.roles)} classes")
     except ValueError as err:
         raise located(config.dataset or "benchmark", err) from None
 

@@ -1,17 +1,19 @@
 """Deterministic seed derivation for every stochastic component.
 
 Every generator is numpy's ``default_rng(mix64(seed, stream))``.  MC-dropout
-pass ``t`` of an example seeded ``s`` still uses ``default_rng(mix64(s, t))``,
-but its seed words come in bulk: ``pass_seed_words`` reproduces numpy's
+pass ``t`` of an example seeded ``s`` still keeps the units where
+``default_rng(mix64(s, t))`` draws at least the dropout rate, but no numpy
+generator is built for it: ``pass_seed_words`` reproduces numpy's
 ``SeedSequence`` (hash and mix of a 128-bit pool, O'Neill's PCG seeding
-scheme) over whole arrays of seeds, and ``words_generator`` builds the
-generator from one pass's words, skipping the per-seed hashing.  The tests
-check both against the installed numpy, so a numpy that changes its stream
-fails loudly.
+scheme) over whole arrays of seeds, and ``keep_mask`` runs numpy's PCG64
+(XSL-RR 128/64, O'Neill, HMC-CS-2014-0905) from those words over every pass
+of every row at once, comparing each draw as an integer.  The tests check
+both against the installed numpy, so a numpy that changes its stream fails
+loudly.
 """
 from __future__ import annotations
 
-import functools
+import math
 
 import numpy as np
 
@@ -24,6 +26,10 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
+
+# numpy.random.PCG64's multiplier (PCG_DEFAULT_MULTIPLIER_128) in uint64 halves; the low half's 32-bit limbs
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_LIMB_HI, _LIMB_LO = _PCG_MULT_LO >> np.uint64(32), _PCG_MULT_LO & np.uint64(_MASK32)
 
 
 def mix64(seed: int, stream: int) -> int:
@@ -113,43 +119,48 @@ def _seed_words(values: np.ndarray) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-@functools.cache
-def _seed_words_type() -> type:
-    """A seed sequence type that hands PCG64 four precomputed uint64 words.
-
-    Built on first use: subclassing numpy's ``ISeedSequence`` at import time
-    would load ``numpy.random`` on every import of this package.
+def _pcg64_outputs(words: np.ndarray, k: int):
+    """Yield, k times, the next output of the PCG64 that each row of the (n, 4)
+    uint64 ``words`` seeds: column by column, ``PCG64(SeedSequence(v)).random_raw(k)``.
+    The 128-bit states step together as (high, low) uint64 halves; the one
+    product whose high half counts runs on 32-bit limbs (Warren's mulhu).
     """
+    one, n32, n58, n63, n64, m32 = (np.uint64(v) for v in (1, 32, 58, 63, 64, _MASK32))
+    # pcg64_set_seed: state words[0:2] and increment (words[2:4] << 1) | 1, high half first
+    inc_hi = (words[:, 2] << one) | (words[:, 3] >> n63)
+    inc_lo = (words[:, 3] << one) | one
+    # srandom: state 0 steps once to the increment, adds the seed, then steps
+    lo = inc_lo + words[:, 1]
+    hi = inc_hi + words[:, 0] + (lo < inc_lo)
+    for step in range(k + 1):
+        # state = state * multiplier + inc (mod 2**128); the high half of lo * _PCG_MULT_LO
+        # is lo1 * _LIMB_HI + (mid >> 32) + low_carry, and lo < inc_lo after the add is its carry
+        lo0, lo1 = lo & m32, lo >> n32
+        mid = lo1 * _LIMB_LO + (lo0 * _LIMB_LO >> n32)
+        low_carry = (lo0 * _LIMB_HI + (mid & m32)) >> n32
+        hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + lo1 * _LIMB_HI + (mid >> n32) + low_carry + inc_hi
+        lo = lo * _PCG_MULT_LO + inc_lo
+        hi += lo < inc_lo
+        if step:  # output: the halves' xor, rotated right by the state's top 6 bits
+            x, rot = hi ^ lo, hi >> n58
+            yield (x >> rot) | (x << ((n64 - rot) & n63))
 
-    class SeedWords(np.random.bit_generator.ISeedSequence):
-        __slots__ = ("words",)
 
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return SeedWords
-
-
-def checked_words(words, t_count: int) -> np.ndarray:
-    """``words`` as a C-contiguous uint64 (t_count, 4) array, or ValueError.
-
-    PCG64 reads seed words as a raw buffer, so a strided array would seed a
-    different stream and another integer type would be reinterpreted; strides
-    are copied away, other types refused.
+def keep_mask(words: np.ndarray, k: int, p: float) -> np.ndarray:
+    """The (..., k) bool dropout keep mask of each row of a (..., 4) uint64
+    ``words`` array from ``pass_seed_words``: for the words of seed ``v``,
+    ``default_rng(v).random(k) >= p``.  A draw is ``next64 >> 11`` times 2**-53,
+    so the test is ``next64 >> 11 >= ceil(p * 2**53)``, exactly, or
+    ``next64 >= ceil(p * 2**53) << 11``, which fits in 64 bits for p < 1.
     """
     words = np.asarray(words)
-    if words.dtype != np.uint64:
-        raise ValueError(f"seed words must be uint64, got {words.dtype}")
-    if words.shape != (t_count, _POOL_SIZE):
-        raise ValueError(f"seed words must have shape ({t_count}, {_POOL_SIZE}), got {words.shape}")
-    return np.ascontiguousarray(words)
-
-
-def words_generator(words: np.ndarray) -> np.random.Generator:
-    """The generator one row of ``pass_seed_words`` seeds: for the words of
-    ``mix64(s, t)`` it equals ``default_rng(mix64(s, t))``.  ``words`` must be
-    C-contiguous uint64 of shape (4,), as a row of ``checked_words`` is."""
-    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+    if words.dtype != np.uint64 or words.shape[-1:] != (_POOL_SIZE,):
+        raise ValueError(f"seed words must be uint64 of shape (..., {_POOL_SIZE}), got {words.dtype} {words.shape}")
+    flat = words.reshape(-1, _POOL_SIZE)
+    keep = np.ones((k, len(flat)), dtype=bool)
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    if threshold:
+        for draw, outputs in zip(keep, _pcg64_outputs(flat, k)):
+            np.greater_equal(outputs, threshold, out=draw)
+    # row-major: the forward reads each pass's mask as one run
+    return np.ascontiguousarray(keep.T).reshape(*words.shape[:-1], k)

@@ -21,7 +21,7 @@ from .data import (
     validate_distribution,
 )
 from .mlp import Model, ModelSpec, TrainConfig, init_model, mcd_predict, train
-from .seeding import _MASK64, _mix64_array, generator, mix64, pass_seed_words
+from .seeding import _MASK64, _mix64_array, generator, keep_mask, mix64, pass_seed_words
 
 SUPPORTS_POSITIVE = "supports_positive"
 SUPPORTS_NEGATIVE = "supports_negative"
@@ -88,21 +88,28 @@ class LabelSpaceMapping:
         return read_json(path, lambda doc: cls(tuple(doc["classes"]), tuple(doc["roles"])))
 
 
+_MASK_CHUNK_ROWS = 1024  # rows whose keep masks are drawn together: numpy's per-call cost fades, memory stays small
+
+
 def mcd_passes(model: Model, features, rows: Sequence[int], t_count: int, seed: int) -> np.ndarray:
     """MC-dropout passes of the examples at positions ``rows`` of the (n, d)
     feature matrix ``features``: an (len(rows), T, C) array, row i for
     example ``rows[i]``.
 
     Example j is seeded ``mix64(seed, 1 + j)`` and runs one ``mcd_predict``
-    call; the seeds of all the rows come from one ``_mix64_array`` call, and
-    the seed words of all their passes from one ``pass_seed_words`` call.
+    call with its keep mask; the seeds of all the rows come from one
+    ``_mix64_array`` call, the seed words of all their passes from one
+    ``pass_seed_words`` call, and their keep masks from one ``keep_mask``
+    call per ``_MASK_CHUNK_ROWS`` rows.
     """
     streams = np.asarray(rows, dtype=np.uint64) + np.uint64(1)
     seeds = _mix64_array(np.array([seed & _MASK64], dtype=np.uint64), streams)
     words = pass_seed_words(seeds, t_count)
     passes = np.empty((len(rows), t_count, model.spec.class_count))
-    for i, j in enumerate(rows):
-        passes[i] = mcd_predict(model, features[j], t_count, words[i]).passes
+    for start in range(0, len(rows), _MASK_CHUNK_ROWS):
+        keep = keep_mask(words[start : start + _MASK_CHUNK_ROWS], sum(model.spec.hidden_dims), model.spec.dropout_rate)
+        for i, j in enumerate(rows[start : start + _MASK_CHUNK_ROWS]):
+            passes[start + i] = mcd_predict(model, features[j], t_count, keep[i]).passes
     return passes
 
 

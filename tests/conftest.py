@@ -13,3 +13,19 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def generators_built(monkeypatch):
+    """A list that records each numpy Generator built while the test runs,
+    through ``default_rng`` or the ``Generator`` constructor."""
+    built = []
+    for name in ("default_rng", "Generator"):
+        original = getattr(np.random, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            built.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counted)
+    return built

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -79,6 +80,26 @@ def test_mcd_infer_on_a_header_only_dataset_writes_an_empty_dump(tmp_path, capsy
     assert main(["mcd-infer", "--model", str(ckpt), "--dataset", str(empty), "--out", str(dump)]) == 0
     assert capsys.readouterr().out == f"wrote 0 distributions (10 passes each) to {dump}\n"
     assert len(load_distributions(str(dump))) == 0
+
+
+# sha256 of the dump below: the MC-dropout masks of every pass are the draws
+# of numpy's default_rng(mix64(mix64(5, 1 + j), t)), however they are computed
+MCD_INFER_DIGEST = "cd204e1515aff1aef3adeeff3cd7f27384c4667028df83472be1ff77e8e6300a"
+
+
+def test_mcd_infer_dump_of_a_tiny_seeded_model_keeps_its_digest(tmp_path):
+    data, ckpt, dump = tmp_path / "data.jsonl", tmp_path / "model.json", tmp_path / "dump.jsonl"
+    assert main(["make-data", "--out", str(data), "--n", "50", "--seed", "3"]) == 0
+    argv = ["train", "--dataset", str(data), "--out", str(ckpt), "--hidden-dims", "8,8", "--epochs", "3", "--seed", "4"]
+    assert main(argv) == 0
+    argv = ["mcd-infer", "--model", str(ckpt), "--dataset", str(data), "--out", str(dump), "--passes", "10", "--seed", "5"]
+    assert main(argv) == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == MCD_INFER_DIGEST
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(data.read_text().splitlines()[0] + "\n")
+    argv = ["mcd-infer", "--model", str(ckpt), "--dataset", str(empty), "--out", str(dump), "--passes", "10", "--seed", "5"]
+    assert main(argv) == 0
+    assert dump.read_bytes() == b""
 
 
 def test_build_sentinel_decide_apply_cycle(tmp_path):
@@ -725,6 +746,22 @@ def test_run_refuses_a_policy_or_sentinel_the_dataset_cannot_take(tmp_path, caps
     argv = ["run", "--dataset", str(data), "--out", str(out), "--folds", "2", "--passes", "2", "--epochs", "1"]
     assert main([*argv, *flags]) == 1
     assert capsys.readouterr().err == f"error: {data}: {message}\n"
+    assert trained == [] and not out.exists()
+
+
+def test_run_refuses_a_mapping_of_another_class_count_before_training(tmp_path, capsys, monkeypatch):
+    from labelaudit import sentinel
+
+    data, mapping, out = tmp_path / "data.jsonl", tmp_path / "mapping.json", tmp_path / "run"
+    main(["make-data", "--out", str(data), "--n", "30", "--seed", "1"])
+    roles = ["supports_positive", "abstain", "supports_negative"]
+    mapping.write_text(json.dumps({"classes": ["entailment", "neutral", "contradiction"], "roles": roles}))
+    trained = []
+    monkeypatch.setattr(sentinel, "train", lambda *args: trained.append(args))
+    capsys.readouterr()
+    argv = ["run", "--dataset", str(data), "--out", str(out), "--folds", "2", "--passes", "2", "--epochs", "1"]
+    assert main([*argv, "--policy", "filter", "--mapping", str(mapping)]) == 1
+    assert capsys.readouterr().err == f"error: {data}: distribution width 2 does not match mapping with 3 classes\n"
     assert trained == [] and not out.exists()
 
 

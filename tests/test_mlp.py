@@ -17,7 +17,7 @@ from labelaudit.mlp import (
     train,
 )
 from labelaudit.noisebench import make_blobs
-from labelaudit.seeding import generator, mix64, pass_seed_words
+from labelaudit.seeding import generator, keep_mask, mix64, pass_seed_words
 
 
 def test_init_shapes_chain():
@@ -217,29 +217,34 @@ def test_mcd_predict_is_bit_identical_to_per_pass_loop(spec, t_count):
     ids=["stock", "no-dropout"],
 )
 def test_mcd_predict_gives_the_same_passes_for_a_seed_and_its_words(spec):
+    # the non-int seed is the keep mask of the seed's words, as mcd_passes draws it
     model = init_model(spec, seed=8)
     x = np.linspace(-1.0, 1.0, spec.input_dim)
+    hidden = sum(spec.hidden_dims)
     for seed in (0, 2**32, 2**64 - 1, mix64(5, 3)):
-        words = pass_seed_words(np.array([seed], dtype=np.uint64), 6)[0]
+        words = pass_seed_words(np.array([seed, 1], dtype=np.uint64), 6)
         by_seed = mcd_predict(model, x, 6, seed=seed).passes
-        assert mcd_predict(model, x, 6, seed=words).passes.tobytes() == by_seed.tobytes()
-        # PCG64 reads the words as a raw buffer: strided words are copied first
-        fortran = np.asfortranarray(pass_seed_words(np.array([seed, 1], dtype=np.uint64), 6))
-        assert mcd_predict(model, x, 6, seed=fortran[0]).passes.tobytes() == by_seed.tobytes()
+        keep = keep_mask(words, hidden, spec.dropout_rate)
+        assert mcd_predict(model, x, 6, seed=keep[0]).passes.tobytes() == by_seed.tobytes()
+        strided = np.asfortranarray(keep[0])
+        assert mcd_predict(model, x, 6, seed=strided).passes.tobytes() == by_seed.tobytes()
 
 
-def test_mcd_predict_refuses_words_of_another_type_or_shape():
-    model = init_model(ModelSpec(2, (4,), 2), seed=1)
-    words = pass_seed_words(np.array([3], dtype=np.uint64), 5)[0]
-    with pytest.raises(ValueError, match="uint64"):
-        mcd_predict(model, [0.5, -0.5], 5, seed=words.astype(np.int64))
+def test_mcd_predict_refuses_a_keep_mask_of_another_type_or_shape():
+    model = init_model(ModelSpec(2, (4, 3), 2), seed=1)
+    keep = keep_mask(pass_seed_words(np.array([3], dtype=np.uint64), 5)[0], 7, 0.1)
+    with pytest.raises(ValueError, match="bool"):
+        mcd_predict(model, [0.5, -0.5], 5, seed=keep.astype(float))
     with pytest.raises(ValueError, match="shape"):
-        mcd_predict(model, [0.5, -0.5], 4, seed=words)
+        mcd_predict(model, [0.5, -0.5], 4, seed=keep)
+    with pytest.raises(ValueError, match="shape"):
+        mcd_predict(model, [0.5, -0.5], 5, seed=keep[:, :4])
 
 
-def test_mcd_predict_runs_one_forward_and_one_generator_per_pass(monkeypatch):
-    # a work count, not a timing: a per-pass forward loop fails this on any host
-    calls = {"_forward": 0, "pass_seed_words": 0, "words_generator": 0}
+def test_mcd_predict_runs_one_forward_and_builds_no_generator(monkeypatch, generators_built):
+    # a work count, not a timing: a per-pass forward loop or a per-pass
+    # generator fails this on any host
+    calls = {"_forward": 0, "pass_seed_words": 0, "keep_mask": 0}
 
     def counted(name):
         original = getattr(mlp, name)
@@ -253,14 +258,16 @@ def test_mcd_predict_runs_one_forward_and_one_generator_per_pass(monkeypatch):
     for name in calls:
         monkeypatch.setattr(mlp, name, counted(name))
     model = init_model(ModelSpec(2, (8, 8), 2, dropout_rate=0.1), seed=4)
+    generators_built.clear()
     for t_count in (1, 4, 10):
         calls.update(dict.fromkeys(calls, 0))
         mcd_predict(model, [0.5, -0.5], t_count, seed=3)
-        assert calls == {"_forward": 1, "pass_seed_words": 1, "words_generator": t_count}
-        words = pass_seed_words(np.array([3], dtype=np.uint64), t_count)[0]
+        assert calls == {"_forward": 1, "pass_seed_words": 1, "keep_mask": 1}
+        keep = keep_mask(pass_seed_words(np.array([3], dtype=np.uint64), t_count)[0], 16, 0.1)
         calls.update(dict.fromkeys(calls, 0))
-        mcd_predict(model, [0.5, -0.5], t_count, seed=words)
-        assert calls == {"_forward": 1, "pass_seed_words": 0, "words_generator": t_count}
+        mcd_predict(model, [0.5, -0.5], t_count, seed=keep)
+        assert calls == {"_forward": 1, "pass_seed_words": 0, "keep_mask": 0}
+    assert generators_built == []
 
 
 def _numeric_gradients(model, x, y, masks, h=1e-5):

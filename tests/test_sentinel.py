@@ -240,6 +240,27 @@ def test_mcd_passes_seed_example_j_from_mix64_of_its_position():
         assert got[i].tobytes() == mcd_predict(model, x[j], 5, mix64(11, 1 + j)).passes.tobytes()
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_cv_sentinel_builds_no_generator_per_pass(generators_built, k):
+    # a work count: one permutation, then init, shuffle and dropout generators
+    # per fold; the MC-dropout masks come from the vectorized PCG64
+    ds = make_blobs(40, 2, 2, [(-2, 0), (2, 0)], 1.0, 4)
+    generators_built.clear()
+    build_cv_sentinel(ds, k, SPEC, TrainConfig(0.2, 2, 16, seed=5), 10, seed=6)
+    assert len(generators_built) == 1 + 3 * k
+
+
+def test_mcd_passes_give_the_same_bits_in_any_chunking(monkeypatch):
+    ds = make_blobs(23, 2, 2, [(-2, 0), (2, 0)], 1.0, 4)
+    model = init_model(ModelSpec(2, (6, 5), 2, dropout_rate=0.3), 3)
+    rows = np.arange(23)[::-1]
+    whole = sentinel.mcd_passes(model, ds.features, rows, 4, seed=2)
+    for chunk in (1, 5, 22):
+        monkeypatch.setattr(sentinel, "_MASK_CHUNK_ROWS", chunk)
+        assert sentinel.mcd_passes(model, ds.features, rows, 4, seed=2).tobytes() == whole.tobytes()
+    assert sentinel.mcd_passes(model, ds.features, [], 4, seed=2).shape == (0, 4, 2)
+
+
 def test_map_to_evidence_width_mismatch():
     with pytest.raises(ValueError):
         map_to_evidence(PredictiveDistribution("a", [[0.5, 0.5]]), NLI_STYLE)
