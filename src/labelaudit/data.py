@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -501,15 +501,11 @@ def load_dataset(path: str, expected_schema: str | None = None) -> Dataset:
         raise located(path, err) from None
 
 
-def _token_record(t: TaggedToken) -> dict:
-    return {"text": t.text, "pos": t.pos, "is_compound_head": t.is_compound_head, "is_entity": t.is_entity}
-
-
 def _example_records(dataset: Dataset) -> Iterator[dict]:
     """One record per example, in order; feature rows become lists a block at a time."""
     n = len(dataset)
     if dataset.tokens is not None:
-        key, blocks = "tokens", [(list(map(_token_record, tokens)) for tokens in dataset.tokens)]
+        key, blocks = "tokens", [(list(map(asdict, tokens)) for tokens in dataset.tokens)]
     else:
         step = max(1, _WRITE_BLOCK_BYTES // (8 * max(1, dataset.feature_dim or 1)))
         key, blocks = "features", (dataset.matrix(slice(lo, lo + step)).tolist() for lo in range(0, n, step))

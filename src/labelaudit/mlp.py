@@ -10,7 +10,7 @@ numpy), and all T passes then run as one stacked forward.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -290,12 +290,7 @@ def save_model(model: Model, path: str) -> None:
     """Version-tagged JSON checkpoint with row-major weight arrays."""
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "spec": {
-            "input_dim": model.spec.input_dim,
-            "hidden_dims": list(model.spec.hidden_dims),
-            "class_count": model.spec.class_count,
-            "dropout_rate": model.spec.dropout_rate,
-        },
+        "spec": asdict(model.spec),
         "layers": [
             {"weight": w.tolist(), "bias": b.tolist()}
             for w, b in zip(model.weights, model.biases)

@@ -48,6 +48,13 @@ class NoiseSpec:
                 if any(v < 0.0 for v in row):
                     raise ValueError(f"transition row {i} has negative entries")
 
+    def check_class_count(self, class_count: int) -> None:
+        """Refuse a transition matrix that does not have one row per class."""
+        if self.kind == "asymmetric" and len(self.transition) != class_count:
+            raise ValueError(
+                f"transition is {len(self.transition)}x{len(self.transition)} but class_count is {class_count}"
+            )
+
 
 @dataclass(frozen=True)
 class NoiseMask:
@@ -72,6 +79,17 @@ class DetectionReport:
     true_flag_count: int
 
 
+def check_geometry(dim: int, class_count: int, centers, spread: float) -> None:
+    """Refuse blob parameters that ``make_blobs`` cannot draw from: one center
+    of dimension ``dim`` per class and a ``spread`` >= 0."""
+    if len(centers) != class_count:
+        raise ValueError(f"need {class_count} centers, got {len(centers)}")
+    if any(len(c) != dim for c in centers):
+        raise ValueError(f"every center must have dimension {dim}")
+    if spread < 0:
+        raise ValueError("spread must be >= 0")
+
+
 def make_blobs(n: int, dim: int, class_count: int, centers, spread: float, seed: int) -> Dataset:
     """Isotropic Gaussian blobs with label == gold_label == generating class.
 
@@ -81,12 +99,7 @@ def make_blobs(n: int, dim: int, class_count: int, centers, spread: float, seed:
     the label and gold columns share one array.
     """
     centers = [tuple(float(v) for v in c) for c in centers]
-    if len(centers) != class_count:
-        raise ValueError(f"need {class_count} centers, got {len(centers)}")
-    if any(len(c) != dim for c in centers):
-        raise ValueError(f"every center must have dimension {dim}")
-    if spread < 0:
-        raise ValueError("spread must be >= 0")
+    check_geometry(dim, class_count, centers, spread)
     counts = [n // class_count + (1 if cls < n % class_count else 0) for cls in range(class_count)]
     rng = generator(seed, 0)
     features = np.empty((n, dim))
@@ -115,10 +128,7 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec):
     # epsilon guards the count against binary representation of the rate
     count = math.floor(spec.rate * n + 1e-9)
     class_count = dataset.class_count
-    if spec.kind == "asymmetric" and len(spec.transition) != class_count:
-        raise ValueError(
-            f"transition is {len(spec.transition)}x{len(spec.transition)} but class_count is {class_count}"
-        )
+    spec.check_class_count(class_count)
     rng = generator(spec.seed, 0)
     if spec.kind == "asymmetric":
         selectable = np.array([sum(row) > 0.0 for row in spec.transition])

@@ -16,7 +16,7 @@ import time
 import types
 import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
@@ -40,8 +40,8 @@ from .data import (
 from .metrics import ScoredPrediction, classification_metrics
 from .mlp import Model, ModelSpec, TrainConfig, init_model, predict_batch, train
 from .noisebench import (
-    NoiseMask,
     NoiseSpec,
+    check_geometry,
     detection_scores,
     inject_noise,
     make_blobs,
@@ -70,6 +70,7 @@ from .sentinel import (
     FoldAssignment,
     LabelSpaceMapping,
     build_cv_sentinel,
+    check_folds,
     ingest_external_dump,
     map_to_evidence,
 )
@@ -165,6 +166,9 @@ class BenchmarkConfig:
             )
         if self.n < 1 or self.dev_size < 1 or self.test_size < 1:
             raise ValueError("benchmark sizes must be positive")
+        # the noise and geometry rules, checked before any data is made
+        self.noise_spec(0).check_class_count(self.class_count)
+        check_geometry(self.dim, self.class_count, self.centers, self.spread)
 
     def noise_spec(self, seed: int) -> NoiseSpec:
         return NoiseSpec(
@@ -205,6 +209,9 @@ class PipelineConfig:
             unknown = set(self.sweep) - set(grid_fields(self.policy))
             if unknown:
                 raise ValueError(f"sweep grid names unknown fields {sorted(unknown)} for policy {self.policy!r}")
+            empty = [name for name, values in self.sweep.items() if not values]
+            if empty:
+                raise ValueError(f"sweep.{empty[0]} has no values")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         object.__setattr__(self, "sweep", {k: list(v) for k, v in self.sweep.items()} if self.sweep else None)
         if self.sentinel not in SENTINEL_SOURCES:
@@ -398,10 +405,7 @@ class PipelineResult:
     report: dict
     decisions: Decisions
     cleaned: Dataset
-    thresholds: object
     fold_assignment: FoldAssignment | None = None
-    noise_mask: NoiseMask | None = None
-    sweep_table: list | None = None
 
 
 def decide_all(policy: str, dists: PassStack, labels: list[int], thresholds, mapping: LabelSpaceMapping | None):
@@ -469,16 +473,20 @@ def _layout(dataset: Dataset) -> dict:
     return {"class_count": dataset.class_count, "schema": schema, "feature dimension": dataset.feature_dim}
 
 
-def _refuse_unfit(config: PipelineConfig, dataset: Dataset, retrains: bool) -> None:
+def _refuse_unfit(config: PipelineConfig, dataset: Dataset, retrains: bool, dev: Dataset | None) -> None:
     """Refuse, before any model trains, a dataset that the sentinel, the retrain
-    or the policy could not take, with the message that stage would give,
-    located at the dataset.  ``decide_*`` keep their per-row checks for direct
+    or the policy could not take, or a dev split that the sweep could not, with
+    the message that stage would give, located at the split.  ``decide_*``,
+    ``build_cv_sentinel`` and ``sweep_thresholds`` keep their checks for direct
     callers."""
     width = _sentinel_width(config, dataset)
     mapping = config.label_mapping if config.policy == "filter" else None
+    where = config.dataset or "benchmark"
     try:
         if config.sentinel == "cv" or retrains:
             config.model_spec(dataset)
+        if config.sentinel == "cv":
+            check_folds(config.folds, len(dataset))
         config.resolved_thresholds(dataset.class_count)
         if config.policy == "overwrite" and width != 2:
             raise ValueError("overwrite policy needs a binary (C = 2) summary")
@@ -486,8 +494,20 @@ def _refuse_unfit(config: PipelineConfig, dataset: Dataset, retrains: bool) -> N
             raise ValueError("filter policy needs a label-space mapping for a non-binary sentinel")
         if mapping is not None and width != len(mapping.roles):
             raise ValueError(f"distribution width {width} does not match mapping with {len(mapping.roles)} classes")
+        if config.sweep:
+            where = config.dev_dataset or "benchmark"
+            _check_sweep_dev(config, dev)
     except ValueError as err:
-        raise located(config.dataset or "benchmark", err) from None
+        raise located(where, err) from None
+
+
+def _check_sweep_dev(config: PipelineConfig, dev: Dataset) -> None:
+    """Refuse a dev split the sweep cannot score: it needs gold labels on every
+    example and, for the cv sentinel, at least one example per fold."""
+    if not len(dev) or dev.gold is None or (dev.gold == NO_GOLD).any():
+        raise ValueError("sweep needs a non-empty dev set with gold labels")
+    if config.sentinel == "cv":
+        check_folds(config.folds, len(dev))
 
 
 def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
@@ -499,8 +519,7 @@ def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
     """
     if not config.sweep:
         raise ValueError("config carries no sweep grid")
-    if not len(clean_dev) or clean_dev.gold is None or (clean_dev.gold == NO_GOLD).any():
-        raise ValueError("sweep needs a non-empty dev set with gold labels")
+    _check_sweep_dev(config, clean_dev)
     grid = grid_fields(config.policy)
     base = thresholds_to_section(config.resolved_thresholds(clean_dev.class_count))
     axes = [sorted(set(float(v) for v in config.sweep.get(f, [base[f]]))) for f in grid]
@@ -601,15 +620,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 for name, value in _layout(split).items() if split is not None else ():
                     if value != layout[name]:
                         raise DataFormatError(f"{path}: {name} {value} differs from the dataset's {layout[name]}")
-        _refuse_unfit(config, working, retrains=test is not None)
+        _refuse_unfit(config, working, retrains=test is not None, dev=dev)
 
     sweep_result = None
     with _stage("thresholds"):
         if config.sweep:
-            thresholds, sweep_table = sweep_thresholds(config, dev)
-            sweep_result = {"best": thresholds_to_section(thresholds), "table": sweep_table}
+            thresholds, table = sweep_thresholds(config, dev)
+            sweep_result = {"best": thresholds_to_section(thresholds), "table": table}
         else:
-            sweep_table = None
             thresholds = config.resolved_thresholds(working.class_count)
 
     with _stage("sentinel"):
@@ -647,15 +665,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     detection = None
     if mask is not None:
         with _stage("detection"):
-            scores = detection_scores(decisions, mask)
-            detection = {
-                "precision": scores.precision,
-                "recall": scores.recall,
-                "overwrite_accuracy": scores.overwrite_accuracy,
-                "flagged_count": scores.flagged_count,
-                "corrupted_count": scores.corrupted_count,
-                "true_flag_count": scores.true_flag_count,
-            }
+            detection = asdict(detection_scores(decisions, mask))
 
     report = {
         # the one volatile field; everything else is reproducible byte-for-byte
@@ -666,12 +676,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         "config": config_to_dict(config),
         "thresholds": thresholds_to_section(thresholds),
         "sweep": sweep_result,
-        "counts": {
-            "input_size": len(working),
-            "kept": apply_report.kept,
-            "removed": apply_report.removed,
-            "overwritten": apply_report.overwritten,
-        },
+        "counts": {"input_size": len(working), **asdict(apply_report)},
         "rule_histogram": rule_histogram(decisions),
         "detection": detection,
         "evaluation": evaluation,
@@ -686,10 +691,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         report=report,
         decisions=decisions,
         cleaned=cleaned,
-        thresholds=thresholds,
         fold_assignment=fold_assignment,
-        noise_mask=mask,
-        sweep_table=sweep_table,
     )
 
 

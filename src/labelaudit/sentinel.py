@@ -113,6 +113,14 @@ def mcd_passes(model: Model, features, rows: Sequence[int], t_count: int, seed: 
     return passes
 
 
+def check_folds(k: int, n: int) -> None:
+    """Refuse a fold count that cannot split ``n`` examples into k folds."""
+    if k < 2:
+        raise ValueError("fold count k must be >= 2")
+    if n < k:
+        raise ValueError(f"fold count {k} exceeds dataset size {n}")
+
+
 def build_cv_sentinel(
     dataset: Dataset,
     k: int,
@@ -137,10 +145,7 @@ def build_cv_sentinel(
     dataset's ids tuple.
     """
     n = len(dataset)
-    if k < 2:
-        raise ValueError("fold count k must be >= 2")
-    if n < k:
-        raise ValueError(f"fold count {k} exceeds dataset size {n}")
+    check_folds(k, n)
     if t_count < 1:
         raise ValueError("t_count must be >= 1")
     order = generator(seed, 0).permutation(n)

@@ -11,7 +11,7 @@ import pytest
 import labelaudit
 from labelaudit import cli
 from labelaudit.cli import main
-from labelaudit.data import load_dataset, load_distributions
+from labelaudit.data import load_dataset, load_distributions, save_dataset
 from labelaudit.mlp import load_model
 from labelaudit.noisebench import load_noise_mask
 from labelaudit.policy import load_decisions
@@ -362,6 +362,7 @@ def test_unknown_config_keys_exit_one(tmp_path, capsys, doc, key):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_divergent_training_fails_before_writing(tmp_path, capsys):
     data, ckpt = tmp_path / "data.jsonl", tmp_path / "m.json"
     main(["make-data", "--out", str(data), "--n", "200", "--seed", "1"])
@@ -448,6 +449,7 @@ RUN = ["run", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"]
     [
         (["train", "--dataset", "{tmp}/empty.jsonl", "--out", "{tmp}/m"], "the dataset has no feature vectors"),
         (["build-sentinel", "--dataset", "{tmp}/empty.jsonl", "--out", "{tmp}/s"], "the dataset has no feature"),
+        (["build-sentinel", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/s", "--folds", "25"], "fold count 25 exceeds"),
         (["run", "--config", "{tmp}/hidden_dims.json"], "config: hidden_dims must be tuple[int, ...], got 64"),
         (["run", "--config", "{tmp}/centers.json"], "benchmark: centers must be tuple[tuple[float, ...], ...], got 5"),
         (["run", "--config", "{tmp}/n.json"], "benchmark: n must be int, got 'abc'"),
@@ -467,6 +469,7 @@ RUN = ["run", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"]
     ids=[
         "train-header-only",
         "build-sentinel-header-only",
+        "build-sentinel-folds-beyond-dataset",
         "hidden-dims-not-a-list",
         "centers-not-a-list",
         "n-not-an-int",
@@ -763,6 +766,131 @@ def test_run_refuses_a_mapping_of_another_class_count_before_training(tmp_path, 
     assert main([*argv, "--policy", "filter", "--mapping", str(mapping)]) == 1
     assert capsys.readouterr().err == f"error: {data}: distribution width 2 does not match mapping with 3 classes\n"
     assert trained == [] and not out.exists()
+
+
+BENCH = {"n": 40, "dev_size": 20, "test_size": 10}
+
+
+@pytest.mark.parametrize(
+    "doc, where, message, built",
+    [
+        ({"benchmark": {**BENCH, "noise": {"rate": 1.5}}}, "benchmark", "noise rate must lie in [0, 1), got 1.5", True),
+        ({"benchmark": {**BENCH, "noise": {"kind": "asymmetric"}}}, "benchmark", "asymmetric noise needs a transition matrix", True),
+        (
+            {"benchmark": {**BENCH, "noise": {"kind": "asymmetric", "transition": [[0, 1], [1, 0], [1, 0]]}}},
+            "benchmark",
+            "transition matrix must be square",
+            True,
+        ),
+        (
+            {"benchmark": {**BENCH, "noise": {"kind": "asymmetric", "transition": [[0, 1, 0], [1, 0, 0], [1, 0, 0]]}}},
+            "benchmark",
+            "transition is 3x3 but class_count is 2",
+            True,
+        ),
+        ({"benchmark": {**BENCH, "class_count": 3}}, "benchmark", "need 3 centers, got 2", True),
+        ({"benchmark": {**BENCH, "d": 3}}, "benchmark", "every center must have dimension 3", True),
+        ({"benchmark": {**BENCH, "spread": -1}}, "benchmark", "spread must be >= 0", True),
+        ({"benchmark": {**BENCH, "n": 4}}, "benchmark", "fold count 5 exceeds dataset size 4", False),
+        (
+            {"benchmark": {**BENCH, "dev_size": 3}, "sweep": {"t1": [0.2]}},
+            "benchmark",
+            "fold count 5 exceeds dataset size 3",
+            False,
+        ),
+        ({"dataset": "{tmp}/four.jsonl"}, "{tmp}/four.jsonl", "fold count 5 exceeds dataset size 4", False),
+        (
+            {"dataset": "{tmp}/data.jsonl", "dev_dataset": "{tmp}/three.jsonl", "sweep": {"t1": [0.2]}},
+            "{tmp}/three.jsonl",
+            "fold count 5 exceeds dataset size 3",
+            False,
+        ),
+        (
+            {"dataset": "{tmp}/data.jsonl", "dev_dataset": "{tmp}/no_gold.jsonl", "sweep": {"t1": [0.2]}},
+            "{tmp}/no_gold.jsonl",
+            "sweep needs a non-empty dev set with gold labels",
+            False,
+        ),
+        (
+            {"dataset": "{tmp}/data.jsonl", "dev_dataset": "{tmp}/data.jsonl", "sweep": {"t1": []}},
+            "config",
+            "sweep.t1 has no values",
+            True,
+        ),
+    ],
+    ids=[
+        "noise-rate-above-one",
+        "asymmetric-without-transition",
+        "transition-not-square",
+        "transition-of-another-class-count",
+        "class-count-beyond-centers",
+        "dimension-beyond-centers",
+        "spread-negative",
+        "benchmark-n-below-folds",
+        "benchmark-dev-size-below-folds",
+        "dataset-below-folds",
+        "dev-dataset-below-folds",
+        "dev-dataset-without-gold",
+        "sweep-axis-without-values",
+    ],
+)
+def test_run_refuses_a_section_or_split_it_cannot_take_before_training(
+    tmp_path, capsys, monkeypatch, doc, where, message, built
+):
+    from labelaudit import sentinel
+
+    main(["make-data", "--out", str(tmp_path / "data.jsonl"), "--n", "30", "--seed", "1"])
+    main(["make-data", "--out", str(tmp_path / "four.jsonl"), "--n", "4", "--seed", "2"])
+    main(["make-data", "--out", str(tmp_path / "three.jsonl"), "--n", "3", "--seed", "3"])
+    save_dataset(load_dataset(str(tmp_path / "data.jsonl")).strip_gold(), str(tmp_path / "no_gold.jsonl"))
+    out, config = tmp_path / "run", tmp_path / "config.json"
+    small = {"epochs": 1, "passes": 2, "hidden_dims": [4], "out": str(out)}
+    config.write_text(json.dumps({**doc, **small}).replace("{tmp}", str(tmp_path)))
+    trained, ran, run_pipeline = [], [], cli.run_pipeline
+    monkeypatch.setattr(sentinel, "train", lambda *args: trained.append(args))
+    monkeypatch.setattr(cli, "run_pipeline", lambda config: ran.append(config) or run_pipeline(config))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {where.format(tmp=tmp_path)}: {message}\n"
+    assert trained == [] and not out.exists()
+    # refused when the config is built, or else in the data stage
+    assert (ran == []) == built
+
+
+# sha256 digests recorded before these outputs were built from the dataclasses
+# that hold them: a saved token dataset, a tiny seeded checkpoint, and the text
+# report (without its generated_at line) and JSON report (without run_stamp)
+# of a small benchmark run
+OUTPUT_DIGESTS = {
+    "tokens": "e94d30e09ce58536464656bb3432989b602743ee04b5590d881f6ccece7aba4d",
+    "checkpoint": "7200ac73e648e057e60662d1a3c52b736c8cbc3da3ecfe7b212d86cf8b95c0b6",
+    "report.txt": "743cc88fbd0736f6da75c05568996bf20356f58d80ba18f621e2039dfe1165eb",
+    "report.json": "1afcf02869ecb3e374a69d8a21ac434df6004e20d9f69babe5cd78f1455664d6",
+}
+
+
+def test_outputs_written_from_their_dataclasses_keep_their_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the report's config free of tmp_path
+    Path("tokens.jsonl").write_text(TOKEN_DATA)
+    save_dataset(load_dataset("tokens.jsonl"), "saved.jsonl")
+    save_dataset(load_dataset("saved.jsonl"), "resaved.jsonl")
+    assert Path("resaved.jsonl").read_bytes() == Path("saved.jsonl").read_bytes()
+    main(["make-data", "--out", "data.jsonl", "--n", "30", "--seed", "3"])
+    argv = ["--hidden-dims", "4,3", "--epochs", "2", "--seed", "4", "--dropout", "0.25"]
+    assert main(["train", "--dataset", "data.jsonl", "--out", "model.json", *argv]) == 0
+    config = {"seed": 3, "benchmark": BENCH, "hidden_dims": [4], "epochs": 1, "folds": 2, "passes": 2, "sweep": {"t1": [0.2, 0.3]}}
+    Path("config.json").write_text(json.dumps(config))
+    assert main(["run", "--config", "config.json", "--out", "run", "--format", "text"]) == 0
+    text = "".join(line for line in Path("run/report.txt").read_text().splitlines(True) if not line.startswith("generated_at:"))
+    report = json.loads(Path("run/report.json").read_text())
+    del report["run_stamp"]
+    written = {
+        "tokens": Path("saved.jsonl").read_bytes(),
+        "checkpoint": Path("model.json").read_bytes(),
+        "report.txt": text.encode(),
+        "report.json": json.dumps(report, sort_keys=True).encode(),
+    }
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in written.items()} == OUTPUT_DIGESTS
 
 
 def test_build_sentinel_writes_the_fold_assignment(tmp_path):
