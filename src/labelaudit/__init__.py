@@ -50,9 +50,11 @@ from .pipeline import (
     BenchmarkConfig,
     PipelineConfig,
     PipelineResult,
+    RunPlan,
     default_benchmark_config,
     emit_report,
     load_config,
+    plan_run,
     run_pipeline,
     sweep_thresholds,
 )

@@ -32,6 +32,7 @@ from .pipeline import (
     decide_all,
     evaluate,
     overlay_flags,
+    plan_run,
     run_pipeline,
     sentinel_distributions,
     sweep_thresholds,
@@ -261,10 +262,9 @@ def _cmd_decide(args) -> int:
     out = _require(args, "out")
     config = config_from_dict({**_config_doc(args), "sentinel": "external"})
     dataset = load_dataset(config.dataset)
-    dists, _ = sentinel_distributions(config, dataset)
-    thresholds = config.resolved_thresholds(dataset.class_count)
-    labels = dataset.labels.tolist()
-    decisions = decide_all(config.policy, dists, labels, thresholds, config.label_mapping)
+    plan = plan_run(config, dataset)
+    dists, _ = sentinel_distributions(config, plan, dataset)
+    decisions = decide_all(config.policy, dists, dataset.labels.tolist(), plan.thresholds, plan.mapping)
     save_decisions(decisions, out)
     flagged = int(np.count_nonzero(decisions.flagged))
     print(f"decided {len(decisions)} examples, flagged {flagged} -> {out}")
@@ -288,14 +288,14 @@ def _cmd_sweep(args) -> int:
     if args.dev_dump:
         doc.setdefault("sentinel", "external")
         doc.setdefault("dump", args.dev_dump)
-    doc.setdefault("dataset", doc.get("dev_dataset"))
+    doc["dataset"] = doc.get("dev_dataset") or doc.get("dataset")  # the plan checks the dev set as the dataset
     config = config_from_dict(doc)
     if not config.sweep:
         raise ValueError("sweep needs a grid (--grid or config sweep section)")
     if not config.dev_dataset:
         raise ValueError("sweep needs a dev dataset (--dataset or config dev_dataset)")
     dev = load_dataset(config.dev_dataset)
-    best, table = sweep_thresholds(config, dev)
+    best, table = sweep_thresholds(config, plan_run(config, dev, dev=dev), dev)
     print(json.dumps({"best": thresholds_to_section(best)}, sort_keys=True))
     if args.out:
         write_json(args.out, {"best": thresholds_to_section(best), "table": table}, indent=2)

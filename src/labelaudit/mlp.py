@@ -10,7 +10,7 @@ numpy), and all T passes then run as one stacked forward.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -302,12 +302,7 @@ def save_model(model: Model, path: str) -> None:
 def _model_from_doc(doc: dict) -> Model:
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unknown checkpoint format {doc.get('format')!r}")
-    spec = ModelSpec(
-        input_dim=doc["spec"]["input_dim"],
-        hidden_dims=tuple(doc["spec"]["hidden_dims"]),
-        class_count=doc["spec"]["class_count"],
-        dropout_rate=doc["spec"]["dropout_rate"],
-    )
+    spec = ModelSpec(**{f.name: doc["spec"][f.name] for f in fields(ModelSpec)})
     weights = tuple(np.array(layer["weight"], dtype=float) for layer in doc["layers"])
     biases = tuple(np.array(layer["bias"], dtype=float) for layer in doc["layers"])
     return Model(spec, weights, biases)

@@ -1,5 +1,6 @@
-"""End-to-end orchestration: sentinel -> uncertainty -> decisions -> apply ->
-retrain -> evaluate, plus the threshold grid sweep and report emission.
+"""End-to-end orchestration: plan -> sentinel -> uncertainty -> decisions ->
+apply -> retrain -> evaluate, plus the threshold grid sweep and report emission.
+``plan_run`` resolves a run's inputs once, into a ``RunPlan``, before any model trains.
 
 Every stochastic stage draws its seed from a fixed stream of the pipeline seed
 (see ``_Stream``), so two runs with the same config produce byte-identical
@@ -18,7 +19,6 @@ import typing
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -243,15 +243,6 @@ class PipelineConfig:
         if self.report_format not in ("json", "text"):
             raise ValueError(f"report format must be json or text, got {self.report_format!r}")
 
-    def resolved_thresholds(self, class_count: int):
-        if self.thresholds is not None:
-            return self.thresholds
-        if self.policy != "quantile":
-            return THRESHOLDS[self.policy]()
-        if class_count != 2:
-            raise ValueError("quantile policy needs explicit thresholds for a non-binary label space")
-        return QuantileThresholds(ordering=(0, 1), good_set=frozenset({1}), bad_set=frozenset({0}))
-
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             learning_rate=self.learning_rate,
@@ -269,13 +260,6 @@ class PipelineConfig:
             class_count=dataset.class_count,
             dropout_rate=self.dropout,
         )
-
-    @cached_property
-    def label_mapping(self) -> LabelSpaceMapping | None:
-        """The sentinel's class-space mapping, read once from the ``mapping`` file if one is named."""
-        if self.mapping is not None:
-            return LabelSpaceMapping.from_file(self.mapping)
-        return None
 
 
 # The config document key of each field whose key differs from its name; a dot
@@ -437,7 +421,82 @@ def decide_all(policy: str, dists: PassStack, labels: list[int], thresholds, map
     return Decisions.from_records(decided(), dists.ids)
 
 
-def sentinel_distributions(config: PipelineConfig, dataset: Dataset, dev: bool = False):
+@dataclass(frozen=True)
+class RunPlan:
+    """What a run resolves from its config and splits before any model trains."""
+
+    thresholds: FilterThresholds | OverwriteThresholds | QuantileThresholds
+    width: int  # the class count of the sentinel's distributions
+    mapping: LabelSpaceMapping | None  # the filter policy's; the binary one when none is named
+    spec: ModelSpec | None  # None when no model trains
+    candidates: tuple  # the sweep's valid (grid point, thresholds) pairs in product order
+
+
+def _layout(dataset: Dataset) -> dict:
+    """What a run's test and dev splits must share with its dataset, by name."""
+    schema = FEATURES if dataset.features is not None else TOKENS if dataset.tokens is not None else None
+    return {"class_count": dataset.class_count, "schema": schema, "feature dimension": dataset.feature_dim}
+
+
+def plan_run(
+    config: PipelineConfig, dataset: Dataset, dev: Dataset | None = None, test: Dataset | None = None
+) -> RunPlan:
+    """Resolve a run's ``RunPlan``, refusing a split that the sentinel, the
+    retrain (there is one when ``test`` is given), the policy or the sweep
+    (when ``dev`` is given) could not take, with the message that stage would
+    give, located at the split's file or ``benchmark``.  ``decide_*`` and
+    ``build_cv_sentinel`` keep their checks for direct callers."""
+    layout = _layout(dataset)
+    for path, split in ((config.test_dataset, test), (config.dev_dataset, dev)):
+        for name, value in _layout(split).items() if split is not None else ():
+            if value != layout[name]:
+                raise DataFormatError(f"{path}: {name} {value} differs from the dataset's {layout[name]}")
+    mapping = LabelSpaceMapping.from_file(config.mapping) if config.mapping is not None else None
+    width = len(mapping.roles) if config.sentinel == "external" and mapping is not None else dataset.class_count
+    where = config.dataset or "benchmark"
+    try:
+        spec = config.model_spec(dataset) if config.sentinel == "cv" or test is not None else None
+        if config.sentinel == "cv":
+            check_folds(config.folds, len(dataset))
+        thresholds = config.thresholds
+        if thresholds is None and config.policy == "quantile":
+            if dataset.class_count != 2:
+                raise ValueError("quantile policy needs explicit thresholds for a non-binary label space")
+            thresholds = QuantileThresholds(ordering=(0, 1), good_set=frozenset({1}), bad_set=frozenset({0}))
+        elif thresholds is None:
+            thresholds = THRESHOLDS[config.policy]()
+        if config.policy == "overwrite" and width != 2:
+            raise ValueError("overwrite policy needs a binary (C = 2) summary")
+        if config.policy == "filter" and mapping is None and width != 2:
+            raise ValueError("filter policy needs a label-space mapping for a non-binary sentinel")
+        if config.policy == "filter" and mapping is not None and width != len(mapping.roles):
+            raise ValueError(f"distribution width {width} does not match mapping with {len(mapping.roles)} classes")
+        candidates = []
+        if config.sweep and dev is not None:
+            where = config.dev_dataset or "benchmark"
+            if not len(dev) or dev.gold is None or (dev.gold == NO_GOLD).any():
+                raise ValueError("sweep needs a non-empty dev set with gold labels")
+            if config.sentinel == "cv":
+                check_folds(config.folds, len(dev))
+            grid = grid_fields(config.policy)
+            base = thresholds_to_section(thresholds)
+            axes = [sorted(set(float(v) for v in config.sweep.get(f, [base[f]]))) for f in grid]
+            for point in itertools.product(*axes):
+                try:
+                    section = {**base, **dict(zip(grid, point))}
+                    candidates.append((point, thresholds_from_section(config.policy, section)))
+                except ValueError:
+                    pass  # grid points violating threshold invariants are skipped
+            if not candidates:
+                raise ValueError("sweep grid is empty after dropping invalid points")
+    except ValueError as err:
+        raise located(where, err) from None
+    if mapping is None and config.policy == "filter":
+        mapping = LabelSpaceMapping.binary_target()
+    return RunPlan(thresholds, width, mapping, spec, tuple(candidates))
+
+
+def sentinel_distributions(config: PipelineConfig, plan: RunPlan, dataset: Dataset, dev: bool = False):
     """Distributions for one dataset in its example order, from CV or an external dump, gold stripped.
 
     ``dev`` marks the dev split: it draws the CV sentinel from its own seed
@@ -448,7 +507,7 @@ def sentinel_distributions(config: PipelineConfig, dataset: Dataset, dev: bool =
         return build_cv_sentinel(
             dataset.strip_gold(),
             config.folds,
-            config.model_spec(dataset),
+            plan.spec,
             config.train_config(),
             config.passes,
             mix64(config.seed, _Stream.SWEEP_SENTINEL if dev else _Stream.SENTINEL),
@@ -456,86 +515,26 @@ def sentinel_distributions(config: PipelineConfig, dataset: Dataset, dev: bool =
     dump = config.dev_dump if dev else config.dump
     if dump is None:
         raise ValueError("external sentinel needs a distribution dump for this dataset")
-    return ingest_external_dump(dump, config.passes, _sentinel_width(config, dataset), dataset.ids), None
+    return ingest_external_dump(dump, config.passes, plan.width, dataset.ids), None
 
 
-def _sentinel_width(config: PipelineConfig, dataset: Dataset) -> int:
-    """The class count of the sentinel's distributions: an external dump is as
-    wide as the mapping's classes, when one is named; otherwise as the dataset's."""
-    if config.sentinel == "external" and config.mapping is not None:
-        return len(config.label_mapping.roles)
-    return dataset.class_count
-
-
-def _layout(dataset: Dataset) -> dict:
-    """What a run's test and dev splits must share with its dataset, by name."""
-    schema = FEATURES if dataset.features is not None else TOKENS if dataset.tokens is not None else None
-    return {"class_count": dataset.class_count, "schema": schema, "feature dimension": dataset.feature_dim}
-
-
-def _refuse_unfit(config: PipelineConfig, dataset: Dataset, retrains: bool, dev: Dataset | None) -> None:
-    """Refuse, before any model trains, a dataset that the sentinel, the retrain
-    or the policy could not take, or a dev split that the sweep could not, with
-    the message that stage would give, located at the split.  ``decide_*``,
-    ``build_cv_sentinel`` and ``sweep_thresholds`` keep their checks for direct
-    callers."""
-    width = _sentinel_width(config, dataset)
-    mapping = config.label_mapping if config.policy == "filter" else None
-    where = config.dataset or "benchmark"
-    try:
-        if config.sentinel == "cv" or retrains:
-            config.model_spec(dataset)
-        if config.sentinel == "cv":
-            check_folds(config.folds, len(dataset))
-        config.resolved_thresholds(dataset.class_count)
-        if config.policy == "overwrite" and width != 2:
-            raise ValueError("overwrite policy needs a binary (C = 2) summary")
-        if config.policy == "filter" and mapping is None and width != 2:
-            raise ValueError("filter policy needs a label-space mapping for a non-binary sentinel")
-        if mapping is not None and width != len(mapping.roles):
-            raise ValueError(f"distribution width {width} does not match mapping with {len(mapping.roles)} classes")
-        if config.sweep:
-            where = config.dev_dataset or "benchmark"
-            _check_sweep_dev(config, dev)
-    except ValueError as err:
-        raise located(where, err) from None
-
-
-def _check_sweep_dev(config: PipelineConfig, dev: Dataset) -> None:
-    """Refuse a dev split the sweep cannot score: it needs gold labels on every
-    example and, for the cv sentinel, at least one example per fold."""
-    if not len(dev) or dev.gold is None or (dev.gold == NO_GOLD).any():
-        raise ValueError("sweep needs a non-empty dev set with gold labels")
-    if config.sentinel == "cv":
-        check_folds(config.folds, len(dev))
-
-
-def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
-    """Grid-search thresholds against the dev set's gold labels.
+def sweep_thresholds(config: PipelineConfig, plan: RunPlan, clean_dev: Dataset):
+    """Score the plan's candidate thresholds against the dev set's gold labels.
 
     Ground truth flags are the examples whose current label differs from gold.
     The point maximizing detection F1 wins; ties break toward fewer flags, then
     lexicographic threshold order.  Returns (best thresholds, full grid table).
     """
-    if not config.sweep:
+    if not plan.candidates:
         raise ValueError("config carries no sweep grid")
-    _check_sweep_dev(config, clean_dev)
     grid = grid_fields(config.policy)
-    base = thresholds_to_section(config.resolved_thresholds(clean_dev.class_count))
-    axes = [sorted(set(float(v) for v in config.sweep.get(f, [base[f]]))) for f in grid]
     truth = clean_dev.labels != clean_dev.gold
     labels = clean_dev.labels.tolist()
-    dists, _ = sentinel_distributions(config, clean_dev, dev=True)
+    dists, _ = sentinel_distributions(config, plan, clean_dev, dev=True)
     total_bad = int(truth.sum())
     table = []
-    for point in itertools.product(*axes):
-        section = dict(base)
-        section.update(dict(zip(grid, point)))
-        try:
-            candidate = thresholds_from_section(config.policy, section)
-        except ValueError:
-            continue  # grid points violating threshold invariants are skipped
-        flagged = decide_all(config.policy, dists, labels, candidate, config.label_mapping).flagged
+    for point, candidate in plan.candidates:
+        flagged = decide_all(config.policy, dists, labels, candidate, plan.mapping).flagged
         flag_count = int(np.count_nonzero(flagged))
         tp = int(np.count_nonzero(flagged & truth))
         fp = flag_count - tp
@@ -551,12 +550,8 @@ def sweep_thresholds(config: PipelineConfig, clean_dev: Dataset):
                 "flagged": flag_count,
             }
         )
-    if not table:
-        raise ValueError("sweep grid is empty after dropping invalid points")
-    best = min(table, key=lambda row: (-row["f1"], row["flagged"], tuple(row[f] for f in grid)))
-    section = dict(base)
-    section.update({f: best[f] for f in grid})
-    return thresholds_from_section(config.policy, section), table
+    best = min(range(len(table)), key=lambda i: (-table[i]["f1"], table[i]["flagged"], plan.candidates[i][0]))
+    return plan.candidates[best][1], table
 
 
 def _fit(spec: ModelSpec, train_cfg: TrainConfig, seed: int, dataset: Dataset) -> Model:
@@ -599,13 +594,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             clean_train = make_blobs(
                 b.n, b.dim, b.class_count, b.centers, b.spread, mix64(config.seed, _Stream.BLOBS_TRAIN)
             )
-            working, mask = inject_noise(
-                clean_train, b.noise_spec(mix64(config.seed, _Stream.NOISE_TRAIN))
-            )
-            dev_clean = make_blobs(
-                b.dev_size, b.dim, b.class_count, b.centers, b.spread, mix64(config.seed, _Stream.BLOBS_DEV)
-            )
-            dev, _ = inject_noise(dev_clean, b.noise_spec(mix64(config.seed, _Stream.NOISE_DEV)))
+            try:  # inject_noise refuses a rate above the eligible share: the section's fault
+                working, mask = inject_noise(clean_train, b.noise_spec(mix64(config.seed, _Stream.NOISE_TRAIN)))
+                dev_clean = make_blobs(
+                    b.dev_size, b.dim, b.class_count, b.centers, b.spread, mix64(config.seed, _Stream.BLOBS_DEV)
+                )
+                dev, _ = inject_noise(dev_clean, b.noise_spec(mix64(config.seed, _Stream.NOISE_DEV)))
+            except ValueError as err:
+                raise located("benchmark", err) from None
             test = make_blobs(
                 b.test_size, b.dim, b.class_count, b.centers, b.spread, mix64(config.seed, _Stream.BLOBS_TEST)
             )
@@ -615,27 +611,21 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 test = load_dataset(config.test_dataset)
             if config.dev_dataset:
                 dev = load_dataset(config.dev_dataset)
-            layout = _layout(working)
-            for path, split in ((config.test_dataset, test), (config.dev_dataset, dev)):
-                for name, value in _layout(split).items() if split is not None else ():
-                    if value != layout[name]:
-                        raise DataFormatError(f"{path}: {name} {value} differs from the dataset's {layout[name]}")
-        _refuse_unfit(config, working, retrains=test is not None, dev=dev)
+        plan = plan_run(config, working, dev, test)
 
     sweep_result = None
-    with _stage("thresholds"):
-        if config.sweep:
-            thresholds, table = sweep_thresholds(config, dev)
+    thresholds = plan.thresholds
+    if plan.candidates:
+        with _stage("thresholds"):
+            thresholds, table = sweep_thresholds(config, plan, dev)
             sweep_result = {"best": thresholds_to_section(thresholds), "table": table}
-        else:
-            thresholds = config.resolved_thresholds(working.class_count)
 
     with _stage("sentinel"):
-        dists, fold_assignment = sentinel_distributions(config, working)
+        dists, fold_assignment = sentinel_distributions(config, plan, working)
 
     with _stage("decide"):
         labels = working.labels.tolist()
-        decisions = decide_all(config.policy, dists, labels, thresholds, config.label_mapping)
+        decisions = decide_all(config.policy, dists, labels, thresholds, plan.mapping)
         # decisions are the audit trail; persist them before anything is applied.
         # The output directory appears with this first write, so a run that
         # fails earlier leaves nothing behind.
@@ -652,11 +642,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     evaluation = None
     if test is not None:
         with _stage("retrain"):
-            spec = config.model_spec(working)
             train_cfg = config.train_config()
             retrain_seed = mix64(config.seed, _Stream.RETRAIN)
-            baseline_model = _fit(spec, train_cfg, retrain_seed, working)
-            cleaned_model = _fit(spec, train_cfg, retrain_seed, cleaned)
+            baseline_model = _fit(plan.spec, train_cfg, retrain_seed, working)
+            cleaned_model = _fit(plan.spec, train_cfg, retrain_seed, cleaned)
             evaluation = {
                 "baseline": evaluate(baseline_model, test),
                 "cleaned": evaluate(cleaned_model, test),

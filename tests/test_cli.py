@@ -465,6 +465,10 @@ RUN = ["run", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"]
         ([*RUN, "--epochs", "-1"], "config: epochs must be >= 0"),
         ([*RUN, "--hidden-dims", "0"], "config: hidden_dims: all layer widths must be >= 1"),
         (["run", "--config", "{tmp}/sweep_field.json"], "config: sweep grid names unknown fields ['bogus']"),
+        (
+            ["sweep", "--dataset", "{tmp}/data.jsonl", "--grid", '{{"t1": [0.9], "t2": [0.1]}}', "--out", "{tmp}/run"],
+            "{tmp}/data.jsonl: sweep grid is empty after dropping invalid points\n",
+        ),
     ],
     ids=[
         "train-header-only",
@@ -485,9 +489,12 @@ RUN = ["run", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"]
         "epochs-negative",
         "hidden-dims-below-one",
         "sweep-field-unknown",
+        "sweep-grid-without-valid-points",
     ],
 )
-def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, argv, message):
+def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, monkeypatch, argv, message):
+    from labelaudit import sentinel
+
     (tmp_path / "empty.jsonl").write_text('{"class_count": 2}\n')
     main(["make-data", "--out", str(tmp_path / "data.jsonl"), "--n", "20", "--seed", "1"])
     out = tmp_path / "run"
@@ -514,11 +521,13 @@ def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, 
     }
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "out": str(out)}))
+    trained = []
+    monkeypatch.setattr(sentinel, "train", lambda *args: trained.append(args))
     capsys.readouterr()
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
-    assert not out.exists()
+    assert err.startswith(f"error: {message.format(tmp=tmp_path)}") and err.count("\n") == 1
+    assert trained == [] and not out.exists()
 
 
 MAPPING = {
@@ -726,27 +735,42 @@ def test_run_refuses_a_split_of_another_layout(tmp_path, capsys, key, split_flag
 
 
 @pytest.mark.parametrize(
-    "classes, flags, message",
+    "command, classes, flags, message",
     [
-        ("3", ["--policy", "overwrite"], "overwrite policy needs a binary (C = 2) summary"),
-        ("3", ["--policy", "filter"], "filter policy needs a label-space mapping for a non-binary sentinel"),
-        ("3", ["--policy", "quantile"], "quantile policy needs explicit thresholds for a non-binary label space"),
-        (None, ["--policy", "filter"], "the dataset has no feature vectors"),
+        ("run", "3", ["--policy", "overwrite"], "overwrite policy needs a binary (C = 2) summary"),
+        ("run", "3", ["--policy", "filter"], "filter policy needs a label-space mapping for a non-binary sentinel"),
+        ("run", "3", ["--policy", "quantile"], "quantile policy needs explicit thresholds for a non-binary label space"),
+        ("run", None, ["--policy", "filter"], "the dataset has no feature vectors"),
+        ("decide", "3", ["--policy", "overwrite"], "overwrite policy needs a binary (C = 2) summary"),
+        ("decide", "3", ["--policy", "filter"], "filter policy needs a label-space mapping for a non-binary sentinel"),
+        ("decide", "3", ["--policy", "quantile"], "quantile policy needs explicit thresholds for a non-binary label space"),
     ],
-    ids=["overwrite-three-classes", "filter-without-mapping", "quantile-without-thresholds", "cv-on-tokens"],
+    ids=[
+        "overwrite-three-classes",
+        "filter-without-mapping",
+        "quantile-without-thresholds",
+        "cv-on-tokens",
+        "decide-overwrite-three-classes",
+        "decide-filter-without-mapping",
+        "decide-quantile-without-thresholds",
+    ],
 )
-def test_run_refuses_a_policy_or_sentinel_the_dataset_cannot_take(tmp_path, capsys, monkeypatch, classes, flags, message):
+def test_run_refuses_a_policy_or_sentinel_the_dataset_cannot_take(
+    tmp_path, capsys, monkeypatch, command, classes, flags, message
+):
     from labelaudit import sentinel
 
-    data, out = tmp_path / "data.jsonl", tmp_path / "run"
+    data, dump, out = tmp_path / "data.jsonl", tmp_path / "dump.jsonl", tmp_path / "run"
     if classes is None:
         data.write_text(TOKEN_DATA)
     else:
         main(["make-data", "--out", str(data), "--n", "30", "--classes", classes, "--seed", "1"])
+        _write_dump(dump, [(i, [[0.2, 0.1, 0.7]] * 2) for i in load_dataset(str(data)).ids])
     trained = []
     monkeypatch.setattr(sentinel, "train", lambda *args: trained.append(args))
     capsys.readouterr()
-    argv = ["run", "--dataset", str(data), "--out", str(out), "--folds", "2", "--passes", "2", "--epochs", "1"]
+    argv = [command, "--dataset", str(data), "--out", str(out), "--passes", "2"]
+    argv += {"run": ["--folds", "2", "--epochs", "1"], "decide": ["--dump", str(dump)]}[command]
     assert main([*argv, *flags]) == 1
     assert capsys.readouterr().err == f"error: {data}: {message}\n"
     assert trained == [] and not out.exists()
@@ -817,6 +841,24 @@ BENCH = {"n": 40, "dev_size": 20, "test_size": 10}
             "sweep.t1 has no values",
             True,
         ),
+        (
+            {"benchmark": BENCH, "sweep": {"t1": [0.9], "t2": [0.1]}},
+            "benchmark",
+            "sweep grid is empty after dropping invalid points",
+            False,
+        ),
+        (
+            {"dataset": "{tmp}/data.jsonl", "dev_dataset": "{tmp}/data.jsonl", "sweep": {"t1": [0.9], "t2": [0.1]}},
+            "{tmp}/data.jsonl",
+            "sweep grid is empty after dropping invalid points",
+            False,
+        ),
+        (
+            {"benchmark": {**BENCH, "noise": {"rate": 0.6, "kind": "asymmetric", "transition": [[0, 0], [1, 0]]}}},
+            "benchmark",
+            "cannot corrupt 24 examples: only 20 are eligible",
+            False,
+        ),
     ],
     ids=[
         "noise-rate-above-one",
@@ -832,6 +874,9 @@ BENCH = {"n": 40, "dev_size": 20, "test_size": 10}
         "dev-dataset-below-folds",
         "dev-dataset-without-gold",
         "sweep-axis-without-values",
+        "benchmark-sweep-grid-without-valid-points",
+        "dev-dataset-sweep-grid-without-valid-points",
+        "asymmetric-rate-beyond-eligible-share",
     ],
 )
 def test_run_refuses_a_section_or_split_it_cannot_take_before_training(

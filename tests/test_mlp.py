@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -359,10 +361,18 @@ def test_model_rejects_non_finite_weights():
 
 def test_checkpoint_rejects_unknown_format(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text('{"format": "something-else"}')
-    with pytest.raises(ValueError, match="format") as info:
-        load_model(str(path))
-    assert str(info.value).startswith(f"{path}: unknown checkpoint format")
+    save_model(init_model(ModelSpec(2, (3,), 2), seed=0), str(path))
+    doc = json.loads(path.read_text())
+    del doc["spec"]["dropout_rate"]
+    refusals = (
+        ('{"format": "something-else"}', "unknown checkpoint format 'something-else'"),
+        (json.dumps(doc), "missing field 'dropout_rate'"),
+    )
+    for text, message in refusals:
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_model(str(path))
+        assert str(info.value) == f"{path}: {message}"
 
 
 def test_mix64_spreads_streams():

@@ -17,6 +17,7 @@ from labelaudit.pipeline import (
     decide_all,
     default_benchmark_config,
     emit_report,
+    plan_run,
     run_pipeline,
     sweep_thresholds,
 )
@@ -312,7 +313,7 @@ def test_sweep_picks_dominant_point(tmp_path, rng):
         sweep={"t1": [0.1, 0.4], "t2": [0.6]},
         thresholds=OverwriteThresholds(s1=0.5, s2=0.5),
     )
-    best, table = sweep_thresholds(config, dev)
+    best, table = sweep_thresholds(config, plan_run(config, dev, dev=dev), dev)
     # t1=0.4 flags both corrupted examples (f1=1), t1=0.1 misses e0
     assert best.t1 == 0.4
     assert best.t2 == 0.6
@@ -335,7 +336,7 @@ def test_sweep_tie_breaks_by_fewer_flags_then_lexicographic(tmp_path, rng):
         sweep={"t1": [0.05], "t2": [0.6, 0.7]},
         thresholds=OverwriteThresholds(s1=0.5, s2=0.5),
     )
-    best, table = sweep_thresholds(config, dev)
+    best, table = sweep_thresholds(config, plan_run(config, dev, dev=dev), dev)
     assert best.t2 == 0.6
     assert all(row["flagged"] == 1 for row in table)
 
@@ -352,7 +353,7 @@ def test_sweep_singleton_grid(tmp_path, rng):
         sweep={"t1": [0.35]},
         thresholds=OverwriteThresholds(s1=0.5, s2=0.5),
     )
-    best, table = sweep_thresholds(config, dev)
+    best, table = sweep_thresholds(config, plan_run(config, dev, dev=dev), dev)
     assert best.t1 == 0.35
     assert len(table) == 1
 
@@ -368,7 +369,7 @@ def test_sweep_skips_invalid_combos(tmp_path, rng):
         policy="overwrite",
         sweep={"t1": [0.2, 0.7], "t2": [0.6]},  # (0.7, 0.6) violates t1 < t2
     )
-    best, table = sweep_thresholds(config, dev)
+    best, table = sweep_thresholds(config, plan_run(config, dev, dev=dev), dev)
     assert len(table) == 1
     assert best.t1 == 0.2
 
@@ -383,8 +384,9 @@ def test_sweep_requires_gold_labels(tmp_path, rng):
         policy="overwrite",
         sweep={"t1": [0.2]},
     )
-    with pytest.raises(ValueError, match="gold"):
-        sweep_thresholds(config, dev.strip_gold())
+    no_gold = dev.strip_gold()
+    with pytest.raises(ValueError, match="gold"):  # refused by plan_run
+        sweep_thresholds(config, plan_run(config, no_gold, dev=no_gold), no_gold)
 
 
 def test_default_benchmark_config_variants():
