@@ -6,6 +6,7 @@ uncertainty, and apply threshold policies that keep, remove, or overwrite each
 label.  A synthetic noise benchmark scores detections against ground truth.
 """
 
+from .config import BenchmarkConfig, PipelineConfig, load_config
 from .data import (
     DataFormatError,
     Dataset,
@@ -47,13 +48,10 @@ from .noisebench import (
     make_blobs,
 )
 from .pipeline import (
-    BenchmarkConfig,
-    PipelineConfig,
     PipelineResult,
     RunPlan,
     default_benchmark_config,
     emit_report,
-    load_config,
     plan_run,
     run_pipeline,
     sweep_thresholds,

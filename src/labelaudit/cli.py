@@ -1,8 +1,9 @@
 """Command-line front end: one subcommand per workflow stage plus a full run.
 
-Every flag has a config-file counterpart and flags override the config.  Exit
-codes: 0 success, 1 validation error (bad flags, malformed inputs, violated
-invariants), 2 runtime failure mid-pipeline.
+A command that takes ``--config`` lays its flags over the config's fields; the
+data commands (make-data, inject-noise, apply, evaluate, sdg-mask) take flags
+only.  Exit codes: 0 success, 1 validation error (bad flags, malformed inputs,
+violated invariants), 2 runtime failure mid-pipeline.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import config_from_dict, overlay_flags
 from .data import (
     PassStack,
     load_dataset,
@@ -28,10 +30,8 @@ from .mlp import init_model, load_model, save_model, train
 from .noisebench import NoiseSpec, inject_noise, make_blobs, save_noise_mask
 from .pipeline import (
     PipelineError,
-    config_from_dict,
     decide_all,
     evaluate,
-    overlay_flags,
     plan_run,
     run_pipeline,
     sentinel_distributions,
@@ -47,12 +47,6 @@ from .policy import (
 )
 from .sdgmask import proposal_record, select_masks
 from .sentinel import build_cv_sentinel, mcd_passes
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its fields")
-    parser.add_argument("--seed", type=int, help="root seed")
-    parser.add_argument("--out", help="output path or directory")
 
 
 def _int_list(text: str) -> list[int]:
@@ -80,44 +74,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect, remove, or overwrite label errors using multi-pass dropout uncertainty.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command takes --out; --seed and --config only where they are read
+    writer = argparse.ArgumentParser(add_help=False)
+    writer.add_argument("--out", help="output path or directory")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[writer])
+    seeded.add_argument("--seed", type=int, help="root seed")
+    configured = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    configured.add_argument("--config", help="JSON config file; flags override its fields")
 
-    p = sub.add_parser("make-data", help="generate Gaussian blob data with gold labels")
-    _add_common(p)
+    p = sub.add_parser("make-data", parents=[seeded], help="generate Gaussian blob data with gold labels")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--classes", type=int, default=2)
     p.add_argument("--centers", help='JSON list of centers, e.g. "[[-2,0],[2,0]]"')
     p.add_argument("--spread", type=float, default=1.0)
 
-    p = sub.add_parser("inject-noise", help="corrupt labels at a controlled rate")
-    _add_common(p)
+    p = sub.add_parser("inject-noise", parents=[seeded], help="corrupt labels at a controlled rate")
     p.add_argument("--dataset", required=True)
     p.add_argument("--noise-rate", type=float, default=0.3)
     p.add_argument("--noise-kind", choices=("symmetric", "asymmetric"), default="symmetric")
     p.add_argument("--transition", help="JSON transition matrix for asymmetric noise")
     p.add_argument("--mask-out", help="where to write the corruption mask (ground truth)")
 
-    p = sub.add_parser("train", help="train a classifier and write a checkpoint")
-    _add_common(p)
+    p = sub.add_parser("train", parents=[configured], help="train a classifier and write a checkpoint")
     _add_model_flags(p)
     p.add_argument("--dataset", required=True)
 
-    p = sub.add_parser("mcd-infer", help="stochastic multi-pass inference with a trained model")
-    _add_common(p)
+    p = sub.add_parser("mcd-infer", parents=[configured], help="stochastic multi-pass inference with a trained model")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--dataset", required=True)
     p.add_argument("--passes", type=int)
 
-    p = sub.add_parser("build-sentinel", help="out-of-fold distributions via cross-validation")
-    _add_common(p)
+    p = sub.add_parser("build-sentinel", parents=[configured], help="out-of-fold distributions via cross-validation")
     _add_model_flags(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--folds", type=int)
     p.add_argument("--passes", type=int)
     p.add_argument("--folds-out", help="where to write the fold assignment")
 
-    p = sub.add_parser("decide", help="run a decision policy over distributions")
-    _add_common(p)
+    p = sub.add_parser("decide", parents=[configured], help="run a decision policy over distributions")
     _add_policy_flags(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--dump", required=True, help="distribution file to decide from")
@@ -126,14 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--good-set", type=json.loads, help="JSON list of good classes (quantile policy)")
     p.add_argument("--bad-set", type=json.loads, help="JSON list of bad classes (quantile policy)")
 
-    p = sub.add_parser("apply", help="apply persisted decisions to a dataset")
-    _add_common(p)
+    p = sub.add_parser("apply", parents=[writer], help="apply persisted decisions to a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--decisions", required=True)
     p.add_argument("--mode", choices=("filter_only", "overwrite"), default="filter_only")
 
-    p = sub.add_parser("sweep", help="grid-search thresholds on a dev set with gold labels")
-    _add_common(p)
+    p = sub.add_parser("sweep", parents=[configured], help="grid-search thresholds on a dev set with gold labels")
     _add_model_flags(p)
     _add_policy_flags(p)
     p.add_argument("--dataset", dest="dev_dataset", help="dev dataset (overrides config dev_dataset)")
@@ -145,18 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", dest="sweep", type=json.loads, metavar="JSON", help='grid, e.g. "{\\"t1\\": [0.2, 0.3]}"'
     )
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on a labeled dataset")
-    _add_common(p)
+    p = sub.add_parser("evaluate", parents=[writer], help="evaluate a checkpoint on a labeled dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
 
-    p = sub.add_parser("sdg-mask", help="propose mask templates from tagged token data")
-    _add_common(p)
+    p = sub.add_parser("sdg-mask", parents=[writer], help="propose mask templates from tagged token data")
     p.add_argument("--dataset", required=True, help="token-schema dataset")
     p.add_argument("--rule", type=int, required=True, choices=(1, 2, 3, 4))
 
-    p = sub.add_parser("run", help="full pipeline from a config file")
-    _add_common(p)
+    p = sub.add_parser("run", parents=[configured], help="full pipeline from a config file")
     _add_model_flags(p)
     _add_policy_flags(p)
     p.add_argument("--dataset")

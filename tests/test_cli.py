@@ -457,7 +457,10 @@ RUN = ["run", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"]
         (["run", "--config", "{tmp}/threshold.json"], "config: thresholds.overwrite.t1 must be float, got 'x'"),
         (["run", "--config", "{tmp}/sweep.json"], "config: sweep.t1 must be a list of float, got 5"),
         (["run", "--config", "{tmp}/passes.json"], "config: passes must be >= 1, got -1"),
-        (["run", "--config", "{tmp}/dev_dump.json"], "sweep with the external sentinel requires a dev_dump"),
+        (
+            ["run", "--config", "{tmp}/dev_dump.json"],
+            "{tmp}/data.jsonl: sweep with the external sentinel requires a dev_dump for the dev dataset\n",
+        ),
         ([*RUN, "--folds", "1"], "config: folds must be >= 2, got 1"),
         ([*RUN, "--dropout", "1.5"], "config: dropout: dropout_rate must lie in [0, 1), got 1.5"),
         ([*RUN, "--batch-size", "0"], "config: batch_size must be >= 1"),
@@ -468,6 +471,26 @@ RUN = ["run", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"]
         (
             ["sweep", "--dataset", "{tmp}/data.jsonl", "--grid", '{{"t1": [0.9], "t2": [0.1]}}', "--out", "{tmp}/run"],
             "{tmp}/data.jsonl: sweep grid is empty after dropping invalid points\n",
+        ),
+        (
+            ["run", "--config", "{tmp}/bench.json", "--noise-rate", "1.5"],
+            "benchmark: noise rate must lie in [0, 1), got 1.5\n",
+        ),
+        (
+            ["run", "--config", "{tmp}/cv_dev_dump.json"],
+            "config: config names both a cv sentinel and an external dump; pick one source\n",
+        ),
+        (
+            ["sweep", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"],
+            "sweep needs a grid (--grid or config sweep section)\n",
+        ),
+        (
+            ["sweep", "--config", "{tmp}/sweep_without_dev.json", "--out", "{tmp}/run"],
+            "sweep needs a dev dataset (--dataset or config dev_dataset)\n",
+        ),
+        (
+            ["sweep", "--config", "{tmp}/dev_dump.json", "--out", "{tmp}/run"],
+            "{tmp}/data.jsonl: sweep with the external sentinel requires a dev_dump for the dev dataset\n",
         ),
     ],
     ids=[
@@ -490,6 +513,11 @@ RUN = ["run", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"]
         "hidden-dims-below-one",
         "sweep-field-unknown",
         "sweep-grid-without-valid-points",
+        "noise-rate-flag-over-a-benchmark-section",
+        "dev-dump-with-the-cv-sentinel",
+        "sweep-command-without-a-grid",
+        "sweep-command-without-a-dev-dataset",
+        "sweep-command-external-without-dev-dump",
     ],
 )
 def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, monkeypatch, argv, message):
@@ -518,6 +546,9 @@ def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, 
             "dev_dataset": str(tmp_path / "data.jsonl"),
             "sweep": {"bogus": [0.1]},
         },
+        "bench": {"benchmark": {"n": 40}},
+        "cv_dev_dump": {"benchmark": {"n": 40}, "dev_dump": "/nonexistent.jsonl"},
+        "sweep_without_dev": {"dataset": str(tmp_path / "data.jsonl"), "sweep": {"t1": [0.2]}},
     }
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "out": str(out)}))
@@ -525,9 +556,42 @@ def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, 
     monkeypatch.setattr(sentinel, "train", lambda *args: trained.append(args))
     capsys.readouterr()
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {message.format(tmp=tmp_path)}") and err.count("\n") == 1
-    assert trained == [] and not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message.format(tmp=tmp_path)}") and captured.err.count("\n") == 1
+    assert captured.out == "" and trained == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("make-data", "--config"),
+        ("inject-noise", "--config"),
+        ("apply", "--config"),
+        ("evaluate", "--config"),
+        ("sdg-mask", "--config"),
+        ("apply", "--seed"),
+        ("evaluate", "--seed"),
+        ("sdg-mask", "--seed"),
+    ],
+)
+def test_data_commands_refuse_flags_they_never_read(tmp_path, capsys, command, flag):
+    main(["make-data", "--out", str(tmp_path / "data.jsonl"), "--n", "20", "--seed", "1"])
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"seed": 9, "bogus": 1}))
+    inputs = {
+        "make-data": [],
+        "inject-noise": ["--dataset", "{tmp}/data.jsonl"],
+        "apply": ["--dataset", "{tmp}/data.jsonl", "--decisions", "{tmp}/decisions.jsonl"],
+        "evaluate": ["--model", "{tmp}/m.json", "--dataset", "{tmp}/data.jsonl"],
+        "sdg-mask": ["--dataset", "{tmp}/data.jsonl", "--rule", "1"],
+    }[command]
+    value = str(cfg) if flag == "--config" else "9"
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert main([command, *(arg.format(tmp=tmp_path) for arg in inputs), "--out", str(out), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+    assert captured.out == "" and not out.exists()
 
 
 MAPPING = {
@@ -859,6 +923,51 @@ BENCH = {"n": 40, "dev_size": 20, "test_size": 10}
             "cannot corrupt 24 examples: only 20 are eligible",
             False,
         ),
+        ({"benchmark": {**BENCH, "n": 0}}, "benchmark", "benchmark sizes must be positive", True),
+        (
+            {"dataset": "{tmp}/data.jsonl", "policy": "bogus"},
+            "config",
+            "policy must be one of ('filter', 'overwrite', 'quantile'), got 'bogus'",
+            True,
+        ),
+        (
+            {"dataset": "{tmp}/data.jsonl", "sentinel": "bogus"},
+            "config",
+            "sentinel must be one of ('cv', 'external'), got 'bogus'",
+            True,
+        ),
+        (
+            {"benchmark": BENCH, "sentinel": "external", "dump": "{tmp}/dump.jsonl"},
+            "config",
+            "benchmark mode generates its data and requires the cv sentinel",
+            True,
+        ),
+        (
+            {"benchmark": BENCH, "dataset": "{tmp}/data.jsonl"},
+            "config",
+            "benchmark mode and a dataset path are mutually exclusive",
+            True,
+        ),
+        (
+            {"dataset": "{tmp}/data.jsonl", "format": "xml"},
+            "config",
+            "report format must be json or text, got 'xml'",
+            True,
+        ),
+        ({"benchmark": {**BENCH, "noise": 5}}, "benchmark", "noise must be a JSON object", True),
+        ({"dataset": "{tmp}/data.jsonl", "thresholds": 5}, "config", "thresholds must be a JSON object", True),
+        (
+            {"dataset": "{tmp}/data.jsonl", "thresholds": {"overwrite": 5}},
+            "config",
+            "thresholds.overwrite must be a JSON object",
+            True,
+        ),
+        (
+            {"dataset": "{tmp}/data.jsonl", "thresholds": {"bogus": {}}},
+            "config",
+            "unknown threshold sections ['bogus']",
+            True,
+        ),
     ],
     ids=[
         "noise-rate-above-one",
@@ -877,6 +986,16 @@ BENCH = {"n": 40, "dev_size": 20, "test_size": 10}
         "benchmark-sweep-grid-without-valid-points",
         "dev-dataset-sweep-grid-without-valid-points",
         "asymmetric-rate-beyond-eligible-share",
+        "benchmark-size-not-positive",
+        "policy-unknown",
+        "sentinel-unknown",
+        "benchmark-with-the-external-sentinel",
+        "benchmark-with-a-dataset",
+        "report-format-unknown",
+        "noise-section-not-an-object",
+        "thresholds-not-an-object",
+        "threshold-section-not-an-object",
+        "threshold-section-unknown",
     ],
 )
 def test_run_refuses_a_section_or_split_it_cannot_take_before_training(
@@ -896,7 +1015,8 @@ def test_run_refuses_a_section_or_split_it_cannot_take_before_training(
     monkeypatch.setattr(cli, "run_pipeline", lambda config: ran.append(config) or run_pipeline(config))
     capsys.readouterr()
     assert main(["run", "--config", str(config)]) == 1
-    assert capsys.readouterr().err == f"error: {where.format(tmp=tmp_path)}: {message}\n"
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {where.format(tmp=tmp_path)}: {message}\n" and captured.out == ""
     assert trained == [] and not out.exists()
     # refused when the config is built, or else in the data stage
     assert (ran == []) == built

@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from labelaudit import pipeline, policy, sentinel
+from labelaudit.config import BenchmarkConfig, PipelineConfig, config_from_dict, config_to_dict, load_config
 from labelaudit.data import PassStack, PredictiveDistribution, save_distributions
 from labelaudit.noisebench import make_blobs, inject_noise, NoiseSpec
 from labelaudit.pipeline import (
-    BenchmarkConfig,
-    PipelineConfig,
     PipelineError,
-    config_from_dict,
-    config_to_dict,
     decide_all,
     default_benchmark_config,
     emit_report,
@@ -71,8 +68,6 @@ def test_config_dict_roundtrip():
 
 
 def test_load_config_file(tmp_path):
-    from labelaudit.pipeline import load_config
-
     config = _small_config("out", thresholds=OverwriteThresholds(t1=0.25))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config_to_dict(config)))
@@ -265,7 +260,8 @@ def test_decide_all_resolves_the_binary_mapping_once(monkeypatch, rng):
     builds = _counted(monkeypatch, sentinel.LabelSpaceMapping, "binary_target")
     raw = rng.random((25, 4, 2)) + 1e-9
     stack = PassStack([f"e{i}" for i in range(25)], raw / raw.sum(axis=2, keepdims=True))
-    decisions = decide_all("filter", stack, [i % 2 for i in range(25)], FilterThresholds(), None)
+    mapping = sentinel.LabelSpaceMapping.binary_target()
+    decisions = decide_all("filter", stack, [i % 2 for i in range(25)], FilterThresholds(), mapping)
     assert len(decisions) == 25 and len(builds) == 1
 
 

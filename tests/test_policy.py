@@ -5,9 +5,9 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from labelaudit.config import config_from_dict
 from labelaudit.data import Dataset, PredictiveDistribution
 from labelaudit.noisebench import NoiseMask, detection_scores
-from labelaudit.pipeline import config_from_dict
 from labelaudit.policy import (
     KEEP,
     NEGATIVE,
