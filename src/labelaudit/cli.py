@@ -77,10 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     # every command takes --out; --seed and --config only where they are read
     writer = argparse.ArgumentParser(add_help=False)
     writer.add_argument("--out", help="output path or directory")
+    config_file = argparse.ArgumentParser(add_help=False)
+    config_file.add_argument("--config", help="JSON config file; flags override its fields")
     seeded = argparse.ArgumentParser(add_help=False, parents=[writer])
     seeded.add_argument("--seed", type=int, help="root seed")
-    configured = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    configured.add_argument("--config", help="JSON config file; flags override its fields")
+    configured = argparse.ArgumentParser(add_help=False, parents=[seeded, config_file])
 
     p = sub.add_parser("make-data", parents=[seeded], help="generate Gaussian blob data with gold labels")
     p.add_argument("--n", type=int, default=200)
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--passes", type=int)
     p.add_argument("--folds-out", help="where to write the fold assignment")
 
-    p = sub.add_parser("decide", parents=[configured], help="run a decision policy over distributions")
+    p = sub.add_parser("decide", parents=[writer, config_file], help="run a decision policy over distributions")
     _add_policy_flags(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--dump", required=True, help="distribution file to decide from")
@@ -278,12 +279,12 @@ def _cmd_sweep(args) -> int:
     if args.dev_dump:
         doc.setdefault("sentinel", "external")
         doc.setdefault("dump", args.dev_dump)
-    doc["dataset"] = doc.get("dev_dataset") or doc.get("dataset")  # the plan checks the dev set as the dataset
-    config = config_from_dict(doc)
-    if not config.sweep:
+    if not doc.get("sweep"):
         raise ValueError("sweep needs a grid (--grid or config sweep section)")
-    if not config.dev_dataset:
+    if not doc.get("dev_dataset"):
         raise ValueError("sweep needs a dev dataset (--dataset or config dev_dataset)")
+    doc["dataset"] = doc["dev_dataset"]  # the plan checks the dev set as the dataset
+    config = config_from_dict(doc)
     dev = load_dataset(config.dev_dataset)
     best, table = sweep_thresholds(config, plan_run(config, dev, dev=dev), dev)
     print(json.dumps({"best": thresholds_to_section(best)}, sort_keys=True))

@@ -51,6 +51,8 @@ class TrainConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:
@@ -105,10 +107,6 @@ def init_model(spec: ModelSpec, seed: int) -> Model:
     return Model(spec, tuple(weights), tuple(biases))
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -129,7 +127,7 @@ def _forward(weights, biases, x: np.ndarray, masks):
         inputs.append(a)
         z = a @ weights[layer].T + biases[layer]
         pres.append(z)
-        a = _relu(z)
+        a = np.maximum(z, 0.0)
         if masks is not None:
             a = a * masks[layer]
     inputs.append(a)
@@ -137,39 +135,35 @@ def _forward(weights, biases, x: np.ndarray, masks):
     return inputs, pres, logits
 
 
-def _loss(weights, biases, x, y, masks) -> float:
-    logits = _forward(weights, biases, x, masks)[2]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(len(y)), y]
-    return float(np.mean(log_norm - picked))
-
-
 def _gradients(weights, biases, x, y, masks):
+    """Backpropagate mean cross-entropy into every layer's (weight, bias) gradients,
+    output layer first: its delta is softmax minus one-hot over the batch size, and a
+    delta passed down is gated by the layer's scaled keep-mask, then its rectifier;
+    no delta is formed for the input features."""
     inputs, pres, logits = _forward(weights, biases, x, masks)
     n = x.shape[0]
-    delta = _softmax(logits)
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    n_layers = len(weights)
-    g_w = [None] * n_layers
-    g_b = [None] * n_layers
-    g_w[-1] = delta.T @ inputs[-1]
-    g_b[-1] = delta.sum(axis=0)
-    back = delta @ weights[-1]
-    for layer in range(n_layers - 2, -1, -1):
-        if masks is not None:
-            back = back * masks[layer]
-        dz = back * (pres[layer] > 0)
-        g_w[layer] = dz.T @ inputs[layer]
-        g_b[layer] = dz.sum(axis=0)
-        back = dz @ weights[layer]
-    return g_w, g_b
+    back = _softmax(logits)
+    back[np.arange(n), y] -= 1.0
+    back /= n
+    g_w, g_b = [], []
+    for layer in range(len(weights) - 1, -1, -1):
+        g_w.append(back.T @ inputs[layer])
+        g_b.append(back.sum(axis=0))
+        if layer > 0:
+            back = back @ weights[layer]
+            if masks is not None:
+                back = back * masks[layer - 1]
+            back = back * (pres[layer - 1] > 0)
+    return g_w[::-1], g_b[::-1]
 
 
 def cross_entropy_loss(model: Model, x: np.ndarray, y: np.ndarray, masks=None) -> float:
     """Mean cross-entropy of the model on a batch; ``masks`` fixes dropout masks."""
-    return _loss(model.weights, model.biases, np.asarray(x, float), np.asarray(y, int), masks)
+    logits = _forward(model.weights, model.biases, np.asarray(x, float), masks)[2]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    picked = shifted[np.arange(len(shifted)), np.asarray(y, int)]
+    return float(np.mean(log_norm - picked))
 
 
 def loss_gradients(model: Model, x: np.ndarray, y: np.ndarray, masks=None):

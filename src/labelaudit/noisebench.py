@@ -81,11 +81,13 @@ class DetectionReport:
 
 def check_geometry(dim: int, class_count: int, centers, spread: float) -> None:
     """Refuse blob parameters that ``make_blobs`` cannot draw from: one center
-    of dimension ``dim`` per class and a ``spread`` >= 0."""
+    of dimension ``dim`` per class, all finite, and a finite ``spread`` >= 0."""
     if len(centers) != class_count:
         raise ValueError(f"need {class_count} centers, got {len(centers)}")
     if any(len(c) != dim for c in centers):
         raise ValueError(f"every center must have dimension {dim}")
+    if not (np.isfinite(centers).all() and np.isfinite(spread)):
+        raise ValueError("centers and spread must be finite")
     if spread < 0:
         raise ValueError("spread must be >= 0")
 

@@ -289,6 +289,16 @@ def test_decide_quantile_policy_flags(tmp_path):
     assert verdicts == {"a": "remove", "b": "remove"}
 
 
+@pytest.mark.parametrize(
+    "flags", [["--spread", "nan"], ["--centers", "[[Infinity, 0], [2, 0]]"]], ids=["spread-nan", "center-infinite"]
+)
+def test_make_data_refuses_non_finite_geometry_and_writes_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "data.jsonl"
+    assert main(["make-data", "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == "error: centers and spread must be finite\n"
+    assert not out.exists()
+
+
 def test_validation_errors_exit_one(tmp_path):
     assert main(["make-data", "--n", "10"]) == 1  # missing --out
     assert main(["train", "--dataset", str(tmp_path / "missing.jsonl"), "--out", "x"]) == 1
@@ -465,6 +475,8 @@ RUN = ["run", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"]
         ([*RUN, "--dropout", "1.5"], "config: dropout: dropout_rate must lie in [0, 1), got 1.5"),
         ([*RUN, "--batch-size", "0"], "config: batch_size must be >= 1"),
         ([*RUN, "--learning-rate", "-1"], "config: learning_rate must be positive"),
+        ([*RUN, "--learning-rate", "nan"], "config: learning_rate must be finite, got nan\n"),
+        ([*RUN, "--learning-rate", "inf"], "config: learning_rate must be finite, got inf\n"),
         ([*RUN, "--epochs", "-1"], "config: epochs must be >= 0"),
         ([*RUN, "--hidden-dims", "0"], "config: hidden_dims: all layer widths must be >= 1"),
         (["run", "--config", "{tmp}/sweep_field.json"], "config: sweep grid names unknown fields ['bogus']"),
@@ -492,6 +504,10 @@ RUN = ["run", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"]
             ["sweep", "--config", "{tmp}/dev_dump.json", "--out", "{tmp}/run"],
             "{tmp}/data.jsonl: sweep with the external sentinel requires a dev_dump for the dev dataset\n",
         ),
+        (
+            ["sweep", "--grid", '{{"t1": [0.2]}}', "--out", "{tmp}/run"],
+            "sweep needs a dev dataset (--dataset or config dev_dataset)\n",
+        ),
     ],
     ids=[
         "train-header-only",
@@ -509,6 +525,8 @@ RUN = ["run", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"]
         "dropout-out-of-range",
         "batch-size-below-one",
         "learning-rate-not-positive",
+        "learning-rate-nan",
+        "learning-rate-infinite",
         "epochs-negative",
         "hidden-dims-below-one",
         "sweep-field-unknown",
@@ -518,6 +536,7 @@ RUN = ["run", "--dataset", "{tmp}/data.jsonl", "--out", "{tmp}/run"]
         "sweep-command-without-a-grid",
         "sweep-command-without-a-dev-dataset",
         "sweep-command-external-without-dev-dump",
+        "sweep-command-without-any-dataset",
     ],
 )
 def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, monkeypatch, argv, message):
@@ -572,6 +591,7 @@ def test_header_only_data_and_mistyped_config_values_exit_one(tmp_path, capsys, 
         ("apply", "--seed"),
         ("evaluate", "--seed"),
         ("sdg-mask", "--seed"),
+        ("decide", "--seed"),
     ],
 )
 def test_data_commands_refuse_flags_they_never_read(tmp_path, capsys, command, flag):
@@ -584,6 +604,7 @@ def test_data_commands_refuse_flags_they_never_read(tmp_path, capsys, command, f
         "apply": ["--dataset", "{tmp}/data.jsonl", "--decisions", "{tmp}/decisions.jsonl"],
         "evaluate": ["--model", "{tmp}/m.json", "--dataset", "{tmp}/data.jsonl"],
         "sdg-mask": ["--dataset", "{tmp}/data.jsonl", "--rule", "1"],
+        "decide": ["--dataset", "{tmp}/data.jsonl", "--dump", "{tmp}/dump.jsonl", "--passes", "10"],
     }[command]
     value = str(cfg) if flag == "--config" else "9"
     out = tmp_path / "out.jsonl"
@@ -879,6 +900,14 @@ BENCH = {"n": 40, "dev_size": 20, "test_size": 10}
         ({"benchmark": {**BENCH, "class_count": 3}}, "benchmark", "need 3 centers, got 2", True),
         ({"benchmark": {**BENCH, "d": 3}}, "benchmark", "every center must have dimension 3", True),
         ({"benchmark": {**BENCH, "spread": -1}}, "benchmark", "spread must be >= 0", True),
+        ({"benchmark": {**BENCH, "spread": float("nan")}}, "benchmark", "centers and spread must be finite", True),
+        ({"benchmark": {**BENCH, "spread": float("inf")}}, "benchmark", "centers and spread must be finite", True),
+        (
+            {"benchmark": {**BENCH, "centers": [[float("inf"), 0], [2, 0]]}},
+            "benchmark",
+            "centers and spread must be finite",
+            True,
+        ),
         ({"benchmark": {**BENCH, "n": 4}}, "benchmark", "fold count 5 exceeds dataset size 4", False),
         (
             {"benchmark": {**BENCH, "dev_size": 3}, "sweep": {"t1": [0.2]}},
@@ -977,6 +1006,9 @@ BENCH = {"n": 40, "dev_size": 20, "test_size": 10}
         "class-count-beyond-centers",
         "dimension-beyond-centers",
         "spread-negative",
+        "spread-nan",
+        "spread-infinite",
+        "center-infinite",
         "benchmark-n-below-folds",
         "benchmark-dev-size-below-folds",
         "dataset-below-folds",

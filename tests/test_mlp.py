@@ -139,6 +139,9 @@ def test_train_config_validation():
         TrainConfig(0.1, -1, 8, seed=0)
     with pytest.raises(ValueError):
         TrainConfig(0.1, 1, 0, seed=0)
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"learning_rate must be finite, got {rate}"):
+            TrainConfig(rate, 1, 8, seed=0)
     TrainConfig(0.1, 0, 8, seed=0)  # zero epochs allowed: degenerate no-op training
 
 
@@ -327,6 +330,95 @@ def test_gradients_match_with_fixed_dropout_masks():
     keep = 1 - spec.dropout_rate
     masks = [(rng.random((5, w)) >= spec.dropout_rate) / keep for w in spec.hidden_dims]
     assert _gradient_relative_error(model, x, y, masks) < 1e-4
+
+
+def _reference_gradients(weights, biases, x, y, masks):
+    """The backward pass as it was before it became one loop over every layer:
+    the output layer on its own, and a delta propagated into the input too."""
+    inputs, pres, a = [], [], x
+    for layer in range(len(weights) - 1):
+        inputs.append(a)
+        z = a @ weights[layer].T + biases[layer]
+        pres.append(z)
+        a = np.maximum(z, 0.0)
+        if masks is not None:
+            a = a * masks[layer]
+    inputs.append(a)
+    logits = a @ weights[-1].T + biases[-1]
+    n = x.shape[0]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    delta = e / e.sum(axis=-1, keepdims=True)
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    n_layers = len(weights)
+    g_w = [None] * n_layers
+    g_b = [None] * n_layers
+    g_w[-1] = delta.T @ inputs[-1]
+    g_b[-1] = delta.sum(axis=0)
+    back = delta @ weights[-1]
+    for layer in range(n_layers - 2, -1, -1):
+        if masks is not None:
+            back = back * masks[layer]
+        dz = back * (pres[layer] > 0)
+        g_w[layer] = dz.T @ inputs[layer]
+        g_b[layer] = dz.sum(axis=0)
+        back = dz @ weights[layer]
+    return g_w, g_b
+
+
+def _reference_train(model, dataset, config):
+    """The SGD loop of ``train``, step for step, over ``_reference_gradients``."""
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    shuffle_rng, mask_rng = generator(config.seed, 1), generator(config.seed, 2)
+    p = model.spec.dropout_rate
+    x, y = dataset.matrix(), dataset.labels
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(y))
+        for start in range(0, len(y), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            masks = None
+            if p > 0.0:
+                masks = [(mask_rng.random((len(idx), width)) >= p) / (1.0 - p) for width in model.spec.hidden_dims]
+            g_w, g_b = _reference_gradients(weights, biases, x[idx], y[idx], masks)
+            for layer in range(len(weights)):
+                weights[layer] -= config.learning_rate * g_w[layer]
+                biases[layer] -= config.learning_rate * g_b[layer]
+    return weights, biases
+
+
+@pytest.mark.parametrize(
+    "spec, batch_size, subset",
+    [
+        (ModelSpec(2, (8,), 2, dropout_rate=0.0), 16, False),
+        (ModelSpec(2, (6, 5), 2, dropout_rate=0.2), 7, False),
+        (ModelSpec(2, (7, 3, 5), 3, dropout_rate=0.3), 11, False),
+        (ModelSpec(2, (32, 32), 2, dropout_rate=0.1), 64, True),
+    ],
+    ids=["one-hidden-no-dropout", "two-hidden", "three-hidden-three-classes", "stock-on-a-subset"],
+)
+def test_train_and_gradients_match_the_reference_bit_for_bit(spec, batch_size, subset):
+    # an oracle, not a self-comparison: any reordering of the SGD step's
+    # arithmetic changes these bytes
+    centers = [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)][: spec.class_count]
+    ds = make_blobs(150, 2, spec.class_count, centers, 1.0, seed=3)
+    if subset:
+        ds = ds.subset(np.random.default_rng(4).permutation(150)[:110])
+    assert len(ds) % batch_size
+    model = init_model(spec, seed=5)
+    config = TrainConfig(0.3, 3, batch_size, seed=6)
+    got = train(model, ds, config)
+    weights, biases = _reference_train(model, ds, config)
+    assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in weights]
+    assert [b.tobytes() for b in got.biases] == [b.tobytes() for b in biases]
+    rng = np.random.default_rng(7)
+    x, y = ds.matrix(np.arange(batch_size)), ds.labels[:batch_size]
+    p = spec.dropout_rate
+    masks = [(rng.random((batch_size, width)) >= p) / (1.0 - p) for width in spec.hidden_dims]
+    for fixed in (None, masks):
+        g_w, g_b = loss_gradients(got, x, y, fixed)
+        r_w, r_b = _reference_gradients(got.weights, got.biases, x, y, fixed)
+        assert [g.tobytes() for g in g_w + g_b] == [g.tobytes() for g in r_w + r_b]
 
 
 def test_mcd_mean_tracks_deterministic_predict():
