@@ -108,9 +108,10 @@ def init_model(spec: ModelSpec, seed: int) -> Model:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _forward(weights, biases, x: np.ndarray, masks):

@@ -97,22 +97,18 @@ def decide_all(policy: str, dists: PassStack, labels: list[int], thresholds, map
 
     Each row still runs one ``summarize`` and one ``decide_*`` call (the
     quantile policy: one ``decide_quantile``); their ``Decision`` records are
-    read into one ``Decisions`` that shares the stack's ids tuple.
+    streamed into one ``Decisions`` that shares the stack's ids tuple.
     """
+    if len(labels) != len(dists):
+        raise ValueError(f"decide_all got {len(labels)} labels for a stack of {len(dists)} rows")
+    if policy == "quantile":
+        return Decisions.from_records(map(decide_quantile, dists, labels, itertools.repeat(thresholds)), dists.ids)
     rows = dists.passes
     if policy == "filter" and dists.ids:
         rows = map_to_evidence(dists, mapping)
-
-    def decided():
-        for i, (example_id, label) in enumerate(zip(dists.ids, labels, strict=True)):
-            if policy == "overwrite":
-                yield decide_overwrite(summarize(rows[i], example_id=example_id), label, thresholds)
-            elif policy == "filter":
-                yield decide_filter(summarize(rows[i], example_id=example_id), label, thresholds)
-            else:
-                yield decide_quantile(dists[i], label, thresholds)
-
-    return Decisions.from_records(decided(), dists.ids)
+    decide = decide_overwrite if policy == "overwrite" else decide_filter
+    summaries = map(summarize, rows, dists.ids)
+    return Decisions.from_records(map(decide, summaries, labels, itertools.repeat(thresholds)), dists.ids)
 
 
 @dataclass(frozen=True)

@@ -116,16 +116,17 @@ class Decision:
             raise ValueError(f"{self.verdict} decision for {self.example_id!r} cannot carry new_label")
 
 
+def _valid_decision(example_id: str, verdict: str, new_label: int | None = None, rule: str = "none") -> Decision:
+    """A Decision of fields already known to be valid, skipping ``__post_init__``:
+    a policy's verdict and new-label pairs are its constants."""
+    d = object.__new__(Decision)
+    d.__dict__.update(example_id=example_id, verdict=verdict, new_label=new_label, rule=rule)
+    return d
+
+
 def _decision_view(example_id: str, code: int, new_label: int, rule: str) -> Decision:
     """A Decision of already validated columns, skipping ``__post_init__``."""
-    d = object.__new__(Decision)
-    d.__dict__.update(
-        example_id=example_id,
-        verdict=VERDICTS[code],
-        new_label=new_label if code == _CODE[OVERWRITE] else None,
-        rule=rule,
-    )
-    return d
+    return _valid_decision(example_id, VERDICTS[code], new_label if code == _CODE[OVERWRITE] else None, rule)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,11 +231,11 @@ def decide_filter(summary: UncertaintySummary, label: int, thresholds: FilterThr
         raise ValueError("filter policy needs a two-channel evidence summary")
     if label == POSITIVE:
         if summary.mean[1] > thresholds.t1 and summary.std[1] < thresholds.s1:
-            return Decision(summary.example_id, REMOVE, rule="filter:positive-refuted")
+            return _valid_decision(summary.example_id, REMOVE, rule="filter:positive-refuted")
     else:
         if summary.mean[0] > thresholds.t2 and summary.std[0] < thresholds.s2:
-            return Decision(summary.example_id, REMOVE, rule="filter:negative-supported")
-    return Decision(summary.example_id, KEEP)
+            return _valid_decision(summary.example_id, REMOVE, rule="filter:negative-supported")
+    return _valid_decision(summary.example_id, KEEP)
 
 
 def decide_overwrite(summary: UncertaintySummary, label: int, thresholds: OverwriteThresholds) -> Decision:
@@ -249,10 +250,10 @@ def decide_overwrite(summary: UncertaintySummary, label: int, thresholds: Overwr
     mean_pos = summary.mean[1]
     std_pos = summary.std[1]
     if label == POSITIVE and mean_pos < thresholds.t1 and std_pos < thresholds.s1:
-        return Decision(summary.example_id, OVERWRITE, new_label=NEGATIVE, rule="overwrite:false-positive")
+        return _valid_decision(summary.example_id, OVERWRITE, new_label=NEGATIVE, rule="overwrite:false-positive")
     if label == NEGATIVE and mean_pos > thresholds.t2 and std_pos < thresholds.s2:
-        return Decision(summary.example_id, OVERWRITE, new_label=POSITIVE, rule="overwrite:false-negative")
-    return Decision(summary.example_id, KEEP)
+        return _valid_decision(summary.example_id, OVERWRITE, new_label=POSITIVE, rule="overwrite:false-negative")
+    return _valid_decision(summary.example_id, KEEP)
 
 
 def decide_quantile(dist: PredictiveDistribution, label: int, thresholds: QuantileThresholds) -> Decision:
@@ -260,14 +261,14 @@ def decide_quantile(dist: PredictiveDistribution, label: int, thresholds: Quanti
     if label in thresholds.good_set:
         at_q1 = ordinal_quantile(dist, thresholds.q1, thresholds.ordering)
         if at_q1 not in thresholds.good_set:
-            return Decision(dist.example_id, REMOVE, rule="quantile:good-demoted")
+            return _valid_decision(dist.example_id, REMOVE, rule="quantile:good-demoted")
     elif label in thresholds.bad_set:
         at_q2 = ordinal_quantile(dist, thresholds.q2, thresholds.ordering)
         if at_q2 in thresholds.good_set:
-            return Decision(dist.example_id, REMOVE, rule="quantile:bad-promoted")
+            return _valid_decision(dist.example_id, REMOVE, rule="quantile:bad-promoted")
     else:
         raise ValueError(f"label {label} is in neither good_set nor bad_set")
-    return Decision(dist.example_id, KEEP)
+    return _valid_decision(dist.example_id, KEEP)
 
 
 def apply_decisions(dataset: Dataset, decisions, mode: str):

@@ -26,9 +26,9 @@ class UncertaintySummary:
 
 
 def _as_matrix(dist) -> np.ndarray:
-    if isinstance(dist, PredictiveDistribution):
-        return dist.passes
-    arr = np.asarray(dist, dtype=float)
+    """The float matrix of ``dist`` in C order: numpy sums a contiguous column
+    pairwise, so another layout of equal values would give other bytes."""
+    arr = np.ascontiguousarray(dist.passes if isinstance(dist, PredictiveDistribution) else dist, dtype=float)
     if arr.ndim != 2:
         raise ValueError("expected a (T, channels) matrix")
     return arr
@@ -38,22 +38,30 @@ def summarize(dist, example_id: str | None = None) -> UncertaintySummary:
     """Summarize a PredictiveDistribution or a bare (T, channels) matrix.
 
     Bare matrices cover the two-column evidence matrices built from a sentinel's
-    class space, whose rows deliberately do not sum to 1.
+    class space, whose rows deliberately do not sum to 1.  The result's bytes
+    are those of the matrix's C-order copy, whatever its memory layout.
     """
     passes = _as_matrix(dist)
     t_count = passes.shape[0]
     argmax = passes.argmax(axis=1)
     counts = np.bincount(argmax, minlength=passes.shape[1])
     modal = int(counts.argmax())
-    # numpy's own mean/std arithmetic (sum, then divide by T), minus its per-call overhead
-    mean = passes.sum(axis=0) / t_count
+    # numpy's own mean/std arithmetic (sum, then divide by T), minus its per-call
+    # overhead: in place, and T as a 0-d array, which numpy divides by sooner than an int
+    t = np.array(float(t_count))
+    mean = np.add.reduce(passes, 0)
+    mean /= t
     dev = passes - mean
-    std = np.sqrt((dev * dev).sum(axis=0) / t_count)
+    dev *= dev
+    std = np.add.reduce(dev, 0)
+    std /= t
+    np.sqrt(std, out=std)
     # a constant column has std exactly 0, not mean-roundoff dust
-    std[(passes == passes[0]).all(axis=0)] = 0.0
+    std[np.logical_and.reduce(passes == passes[0], 0)] = 0.0
     if example_id is None:
         example_id = dist.example_id if isinstance(dist, PredictiveDistribution) else ""
-    return UncertaintySummary(
+    summary = object.__new__(UncertaintySummary)  # every field is built here: skip the frozen __init__
+    summary.__dict__.update(
         mean=mean,
         std=std,
         variation_ratio=1.0 - int(counts[modal]) / t_count,
@@ -61,6 +69,7 @@ def summarize(dist, example_id: str | None = None) -> UncertaintySummary:
         per_pass_argmax=tuple(argmax.tolist()),
         example_id=example_id,
     )
+    return summary
 
 
 def ordinal_quantile(dist, q: float, ordering) -> int:

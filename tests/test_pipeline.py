@@ -265,6 +265,16 @@ def test_decide_all_resolves_the_binary_mapping_once(monkeypatch, rng):
     assert len(decisions) == 25 and len(builds) == 1
 
 
+@pytest.mark.parametrize("label_count", [4, 6], ids=["too-few", "too-many"])
+def test_decide_all_refuses_a_label_count_other_than_the_row_count(monkeypatch, rng, label_count):
+    summarize = _counted(monkeypatch, pipeline, "summarize")
+    raw = rng.random((5, 4, 2)) + 1e-9
+    stack = PassStack([f"e{i}" for i in range(5)], raw / raw.sum(axis=2, keepdims=True))
+    with pytest.raises(ValueError, match=f"{label_count} labels for a stack of 5 rows"):
+        decide_all("overwrite", stack, [0] * label_count, OverwriteThresholds(), None)
+    assert summarize == []
+
+
 def test_external_dump_errors_become_stage_failures(tmp_path):
     from labelaudit.data import save_dataset
 

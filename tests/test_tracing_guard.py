@@ -12,11 +12,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelaudit.data import PredictiveDistribution, load_dataset, save_dataset, save_distributions
+from labelaudit.data import PassStack, PredictiveDistribution, load_dataset, save_dataset, save_distributions
 from labelaudit.mlp import ModelSpec, TrainConfig, init_model, train
 from labelaudit.noisebench import make_blobs
-from labelaudit.policy import KEEP, REMOVE, Decision, Decisions, apply_decisions, save_decisions
-from labelaudit.sentinel import build_cv_sentinel, load_distributions, mcd_predict
+from labelaudit.pipeline import decide_all
+from labelaudit.policy import (
+    KEEP,
+    REMOVE,
+    Decision,
+    Decisions,
+    FilterThresholds,
+    OverwriteThresholds,
+    QuantileThresholds,
+    apply_decisions,
+    save_decisions,
+)
+from labelaudit.sentinel import LabelSpaceMapping, build_cv_sentinel, load_distributions, mcd_predict
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -77,6 +88,33 @@ def test_cv_sentinel_records_one_mcd_predict_span_per_example(tracing):
     stat = tracer.stat("mlp.mcd_predict", root=None)
     assert (stat.calls, stat.units) == (14, 14 * 6)
     assert tracer.no_units == set()
+
+
+@pytest.mark.parametrize(
+    "policy, width, thresholds, summaries",
+    [
+        ("overwrite", 2, OverwriteThresholds(), 14),
+        ("filter", 2, FilterThresholds(), 14),
+        ("quantile", 3, QuantileThresholds((2, 1, 0), {0}, {1, 2}), 0),
+    ],
+)
+def test_decide_all_records_one_summarize_and_one_decide_span_per_row(
+    tracing, rng, policy, width, thresholds, summaries
+):
+    # the benchmark's per-call figures divide by these counts, and it pins
+    # 54,200 summarize calls on its stock run: batching rows fails here first
+    raw = rng.random((14, 5, width)) + 1e-9
+    stack = PassStack([f"e{i}" for i in range(14)], raw / raw.sum(axis=2, keepdims=True))
+    mapping = LabelSpaceMapping.binary_target() if policy == "filter" else None
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        decisions = decide_all(policy, stack, [i % 2 for i in range(14)], thresholds, mapping)
+    finally:
+        tracer.uninstall()
+    assert len(decisions) == 14
+    assert tracer.stat("uncertainty.summarize", root=None).calls == summaries
+    assert tracer.stat("policy.decide", root=None).calls == 14
 
 
 def test_dataset_work_units_read_from_columns(tracing, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from labelaudit.data import PredictiveDistribution
-from labelaudit.uncertainty import ordinal_quantile, summarize
+from labelaudit.uncertainty import UncertaintySummary, ordinal_quantile, summarize
 
 
 def _dist(rows, example_id="e"):
@@ -60,8 +60,11 @@ def test_mean_matches_loop_oracle_on_random_distributions(rng):
 
 @pytest.mark.parametrize("kind", ["distribution", "constant-column", "evidence"])
 def test_summarize_is_bit_identical_to_numpy_mean_and_std(rng, kind):
+    # numpy's figures are taken on the C-order matrix: its Fortran-ordered and
+    # transposed copies must give the same bytes, also at pass counts past
+    # numpy's pairwise-summation blocks
     for _ in range(300):
-        t_count, width = int(rng.integers(1, 25)), int(rng.integers(2, 6))
+        t_count, width = int(rng.integers(1, 258)), int(rng.integers(2, 6))
         passes = rng.random((t_count, width))
         if kind == "distribution":
             passes /= passes.sum(axis=1, keepdims=True)
@@ -70,17 +73,42 @@ def test_summarize_is_bit_identical_to_numpy_mean_and_std(rng, kind):
             passes[:, rng.integers(width)] = rng.random()
         else:
             passes = passes[:, :2] * rng.random((t_count, 1)) / 2  # bare evidence: rows sum below 1
-        s = summarize(_dist(passes) if kind == "distribution" else passes)
         std = passes.std(axis=0)
         std[passes.max(axis=0) == passes.min(axis=0)] = 0.0
-        assert s.mean.tobytes() == passes.mean(axis=0).tobytes()
-        assert s.std.tobytes() == std.tobytes()
         argmax = tuple(int(i) for i in passes.argmax(axis=1))
-        assert s.per_pass_argmax == argmax and all(type(i) is int for i in s.per_pass_argmax)
         modal = int(np.bincount(argmax, minlength=passes.shape[1]).argmax())
-        assert type(s.modal_class) is int and s.modal_class == modal
-        assert type(s.variation_ratio) is float
-        assert s.variation_ratio == 1.0 - argmax.count(modal) / t_count
+        for given in (passes, np.asfortranarray(passes), np.ascontiguousarray(passes.T).T):
+            s = summarize(_dist(given) if kind == "distribution" else given)
+            assert s.mean.tobytes() == passes.mean(axis=0).tobytes()
+            assert s.std.tobytes() == std.tobytes()
+            assert s.per_pass_argmax == argmax and all(type(i) is int for i in s.per_pass_argmax)
+            assert type(s.modal_class) is int and s.modal_class == modal
+            assert type(s.variation_ratio) is float
+            assert s.variation_ratio == 1.0 - argmax.count(modal) / t_count
+
+
+def test_summarize_fills_every_field_as_the_constructor_would(rng):
+    passes = np.round(rng.random((9, 3)), 1)
+    passes[:, 2] = 0.25  # a constant column: its std is set to exactly 0
+    s = summarize(passes, example_id="e7")
+    argmax = passes.argmax(axis=1)
+    modal = int(np.bincount(argmax, minlength=3).argmax())
+    expected = UncertaintySummary(
+        mean=passes.mean(axis=0),
+        std=np.append(passes[:, :2].std(axis=0), 0.0),
+        variation_ratio=1.0 - int((argmax == modal).sum()) / 9,
+        modal_class=modal,
+        per_pass_argmax=tuple(argmax.tolist()),
+        example_id="e7",
+    )
+    assert vars(s).keys() == vars(expected).keys()
+    for name, value in vars(expected).items():
+        got = getattr(s, name)
+        assert type(got) is type(value)
+        if isinstance(value, np.ndarray):
+            assert (got.dtype, got.shape, got.tobytes()) == (value.dtype, value.shape, value.tobytes())
+        else:
+            assert got == value
 
 
 def test_variation_ratio_bounds(rng):
