@@ -108,10 +108,11 @@ def init_model(spec: ModelSpec, seed: int) -> Model:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
+    """Softmax over the last axis, computed in place: every caller hands over fresh logits."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def _forward(weights, biases, x: np.ndarray, masks):
@@ -126,36 +127,39 @@ def _forward(weights, biases, x: np.ndarray, masks):
     n_hidden = len(weights) - 1
     for layer in range(n_hidden):
         inputs.append(a)
-        z = a @ weights[layer].T + biases[layer]
+        z = a @ weights[layer].T
+        z += biases[layer]
         pres.append(z)
         a = np.maximum(z, 0.0)
         if masks is not None:
             a = a * masks[layer]
     inputs.append(a)
-    logits = a @ weights[-1].T + biases[-1]
+    logits = a @ weights[-1].T
+    logits += biases[-1]
     return inputs, pres, logits
 
 
-def _gradients(weights, biases, x, y, masks):
+def _gradients(weights, biases, x, y, masks, out=None):
     """Backpropagate mean cross-entropy into every layer's (weight, bias) gradients,
     output layer first: its delta is softmax minus one-hot over the batch size, and a
     delta passed down is gated by the layer's scaled keep-mask, then its rectifier;
-    no delta is formed for the input features."""
+    no delta is formed for the input features.  ``out``, a (weight, bias) pair of
+    per-layer array lists, receives the gradients in place of new arrays."""
     inputs, pres, logits = _forward(weights, biases, x, masks)
     n = x.shape[0]
     back = _softmax(logits)
     back[np.arange(n), y] -= 1.0
     back /= n
-    g_w, g_b = [], []
+    g_w, g_b = out or ([np.empty_like(w) for w in weights], [np.empty_like(b) for b in biases])
     for layer in range(len(weights) - 1, -1, -1):
-        g_w.append(back.T @ inputs[layer])
-        g_b.append(back.sum(axis=0))
+        np.matmul(back.T, inputs[layer], out=g_w[layer])
+        np.add.reduce(back, axis=0, out=g_b[layer])
         if layer > 0:
             back = back @ weights[layer]
             if masks is not None:
-                back = back * masks[layer - 1]
-            back = back * (pres[layer - 1] > 0)
-    return g_w[::-1], g_b[::-1]
+                back *= masks[layer - 1]
+            back *= pres[layer - 1] > 0
+    return g_w, g_b
 
 
 def cross_entropy_loss(model: Model, x: np.ndarray, y: np.ndarray, masks=None) -> float:
@@ -194,12 +198,20 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> Model:
         raise ValueError(f"label {int(y.max())} out of range for class_count {spec.class_count}")
     if config.epochs == 0:
         return model
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
+    # every weight and bias is a view into one flat buffer, and so is its gradient
+    layers = (*model.weights, *model.biases)
+    cuts = np.cumsum([a.size for a in layers])[:-1]
+    params = np.concatenate([a.ravel() for a in layers])
+    grads = np.empty_like(params)
+    depth = len(model.weights)
+    views = [[part.reshape(a.shape) for part, a in zip(np.split(buf, cuts), layers)] for buf in (params, grads)]
+    weights, biases = views[0][:depth], views[0][depth:]
+    out = (views[1][:depth], views[1][depth:])
     shuffle_rng = generator(config.seed, 1)
     mask_rng = generator(config.seed, 2)
     p = spec.dropout_rate
     keep = 1.0 - p
+    ends = np.cumsum(spec.hidden_dims).tolist()  # one past each hidden layer's last unit
     n = len(y)
     lr = config.learning_rate
     for _ in range(config.epochs):
@@ -208,14 +220,14 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> Model:
             idx = order[start : start + config.batch_size]
             masks = None
             if p > 0.0:
-                masks = [
-                    (mask_rng.random((len(idx), width)) >= p) / keep
-                    for width in spec.hidden_dims
-                ]
-            g_w, g_b = _gradients(weights, biases, dataset.matrix(idx), y[idx], masks)
-            for layer in range(len(weights)):
-                weights[layer] -= lr * g_w[layer]
-                biases[layer] -= lr * g_b[layer]
+                # one draw per batch holds each layer's (batch, width) block in turn
+                b = len(idx)
+                draws = mask_rng.random(b * ends[-1])
+                np.divide(draws >= p, keep, out=draws)
+                masks = [draws[b * (end - w) : b * end].reshape(b, w) for w, end in zip(spec.hidden_dims, ends)]
+            _gradients(weights, biases, dataset.matrix(idx), y[idx], masks, out)
+            grads *= lr
+            params -= grads
     try:
         return Model(spec, tuple(weights), tuple(biases))
     except ValueError as err:
@@ -278,7 +290,10 @@ def mcd_predict(
     probs = _softmax(logits)[:, 0]
     if masks is None:  # one unmasked row stands for every pass
         probs = np.broadcast_to(probs, (t_count, probs.shape[-1]))
-    return PredictiveDistribution(example_id, probs)
+    probs.flags.writeable = False
+    dist = object.__new__(PredictiveDistribution)  # a valid (T, C) float array: skip the frozen __init__
+    dist.__dict__.update(example_id=example_id, passes=probs)
+    return dist
 
 
 def save_model(model: Model, path: str) -> None:

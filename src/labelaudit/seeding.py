@@ -124,6 +124,8 @@ def _pcg64_outputs(words: np.ndarray, k: int):
     uint64 ``words`` seeds: column by column, ``PCG64(SeedSequence(v)).random_raw(k)``.
     The 128-bit states step together as (high, low) uint64 halves; the one
     product whose high half counts runs on 32-bit limbs (Warren's mulhu).
+    Every step runs in place in preallocated buffers, so each yielded array is
+    overwritten by the next step: read it, or copy it, before asking for more.
     """
     one, n32, n58, n63, n64, m32 = (np.uint64(v) for v in (1, 32, 58, 63, 64, _MASK32))
     # pcg64_set_seed: state words[0:2] and increment (words[2:4] << 1) | 1, high half first
@@ -132,18 +134,31 @@ def _pcg64_outputs(words: np.ndarray, k: int):
     # srandom: state 0 steps once to the increment, adds the seed, then steps
     lo = inc_lo + words[:, 1]
     hi = inc_hi + words[:, 0] + (lo < inc_lo)
+    lo0, lo1, mid, tmp, out = (np.empty_like(lo) for _ in range(5))
     for step in range(k + 1):
         # state = state * multiplier + inc (mod 2**128); the high half of lo * _PCG_MULT_LO
         # is lo1 * _LIMB_HI + (mid >> 32) + low_carry, and lo < inc_lo after the add is its carry
-        lo0, lo1 = lo & m32, lo >> n32
-        mid = lo1 * _LIMB_LO + (lo0 * _LIMB_LO >> n32)
-        low_carry = (lo0 * _LIMB_HI + (mid & m32)) >> n32
-        hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + lo1 * _LIMB_HI + (mid >> n32) + low_carry + inc_hi
-        lo = lo * _PCG_MULT_LO + inc_lo
+        np.bitwise_and(lo, m32, out=lo0)
+        np.right_shift(lo, n32, out=lo1)
+        np.right_shift(np.multiply(lo0, _LIMB_LO, out=mid), n32, out=mid)
+        mid += np.multiply(lo1, _LIMB_LO, out=tmp)  # mid = lo1 * _LIMB_LO + (lo0 * _LIMB_LO >> 32)
+        lo0 *= _LIMB_HI
+        lo0 += np.bitwise_and(mid, m32, out=tmp)
+        lo0 >>= n32  # low_carry
+        hi *= _PCG_MULT_LO
+        hi += np.multiply(lo, _PCG_MULT_HI, out=tmp)
+        hi += np.multiply(lo1, _LIMB_HI, out=lo1)
+        hi += np.right_shift(mid, n32, out=mid)
+        hi += np.add(lo0, inc_hi, out=lo0)
+        lo *= _PCG_MULT_LO
+        lo += inc_lo
         hi += lo < inc_lo
         if step:  # output: the halves' xor, rotated right by the state's top 6 bits
-            x, rot = hi ^ lo, hi >> n58
-            yield (x >> rot) | (x << ((n64 - rot) & n63))
+            x, rot = np.bitwise_xor(hi, lo, out=tmp), np.right_shift(hi, n58, out=mid)
+            np.right_shift(x, rot, out=out)
+            x <<= np.bitwise_and(np.subtract(n64, rot, out=rot), n63, out=rot)
+            out |= x
+            yield out
 
 
 def keep_mask(words: np.ndarray, k: int, p: float) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from labelaudit import mlp
-from labelaudit.data import Dataset
+from labelaudit.data import Dataset, PredictiveDistribution
 from labelaudit.mlp import (
     Model,
     ModelSpec,
@@ -394,14 +394,24 @@ def _reference_train(model, dataset, config):
         (ModelSpec(2, (6, 5), 2, dropout_rate=0.2), 7, False),
         (ModelSpec(2, (7, 3, 5), 3, dropout_rate=0.3), 11, False),
         (ModelSpec(2, (32, 32), 2, dropout_rate=0.1), 64, True),
+        (ModelSpec(16, (32, 32), 2, dropout_rate=0.1), 64, True),
+        (ModelSpec(2, (8, 4), 2, dropout_rate=0.0), 16, True),
     ],
-    ids=["one-hidden-no-dropout", "two-hidden", "three-hidden-three-classes", "stock-on-a-subset"],
+    ids=[
+        "one-hidden-no-dropout",
+        "two-hidden",
+        "three-hidden-three-classes",
+        "stock-on-a-subset",
+        "scale-on-a-subset",
+        "no-dropout-on-a-subset",
+    ],
 )
 def test_train_and_gradients_match_the_reference_bit_for_bit(spec, batch_size, subset):
     # an oracle, not a self-comparison: any reordering of the SGD step's
     # arithmetic changes these bytes
-    centers = [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)][: spec.class_count]
-    ds = make_blobs(150, 2, spec.class_count, centers, 1.0, seed=3)
+    pad = (0.0,) * (spec.input_dim - 2)
+    centers = [c + pad for c in [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)][: spec.class_count]]
+    ds = make_blobs(150, spec.input_dim, spec.class_count, centers, 1.0, seed=3)
     if subset:
         ds = ds.subset(np.random.default_rng(4).permutation(150)[:110])
     assert len(ds) % batch_size
@@ -419,6 +429,67 @@ def test_train_and_gradients_match_the_reference_bit_for_bit(spec, batch_size, s
         g_w, g_b = loss_gradients(got, x, y, fixed)
         r_w, r_b = _reference_gradients(got.weights, got.biases, x, y, fixed)
         assert [g.tobytes() for g in g_w + g_b] == [g.tobytes() for g in r_w + r_b]
+
+
+def _reference_loss(weights, biases, x, y, masks):
+    """Mean cross-entropy over the forward of ``_reference_gradients``, each bias added out of place."""
+    a = x
+    for layer in range(len(weights) - 1):
+        a = np.maximum(a @ weights[layer].T + biases[layer], 0.0)
+        if masks is not None:
+            a = a * masks[layer]
+    logits = a @ weights[-1].T + biases[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    return float(np.mean(log_norm - shifted[np.arange(len(shifted)), y]))
+
+
+def test_loss_and_gradients_match_the_reference_and_leave_their_inputs_untouched():
+    rng = np.random.default_rng(12)
+    spec = ModelSpec(5, (7, 6), 3, dropout_rate=0.25)
+    model = init_model(spec, seed=2)
+    x = rng.normal(scale=2.0, size=(9, 5))
+    y = rng.integers(0, 3, size=9)
+    masks = [(rng.random((9, w)) >= 0.25) / 0.75 for w in spec.hidden_dims]
+    before = [a.tobytes() for a in (x, y, *masks)]
+    for fixed in (None, masks):
+        loss = cross_entropy_loss(model, x, y, fixed)
+        assert np.float64(loss).tobytes() == np.float64(_reference_loss(model.weights, model.biases, x, y, fixed)).tobytes()
+        g_w, g_b = loss_gradients(model, x, y, fixed)
+        r_w, r_b = _reference_gradients(model.weights, model.biases, x, y, fixed)
+        assert [g.tobytes() for g in g_w + g_b] == [g.tobytes() for g in r_w + r_b]
+    assert [a.tobytes() for a in (x, y, *masks)] == before
+
+
+def test_predict_batch_leaves_a_read_only_input_untouched():
+    model = init_model(ModelSpec(4, (6, 5), 3), seed=3)
+    x = np.random.default_rng(5).normal(size=(8, 4))
+    x.flags.writeable = False
+    before = x.tobytes()
+    probs = mlp.predict_batch(model, x)
+    assert x.tobytes() == before and not x.flags.writeable
+    assert probs.shape == (8, 3) and np.allclose(probs.sum(axis=1), 1.0)
+    assert probs.tobytes() == mlp.predict_batch(model, x.copy()).tobytes()
+
+
+def test_mcd_predict_returns_the_distribution_its_constructor_would_build():
+    # the result skips the dataclass __init__, so check that it is what __init__ makes
+    spec = ModelSpec(3, (6, 5), 2, dropout_rate=0.2)
+    model = init_model(spec, seed=4)
+    no_dropout = init_model(ModelSpec(3, (6, 5), 2, dropout_rate=0.0), seed=4)
+    x = [0.4, -1.0, 2.0]
+    keep = keep_mask(pass_seed_words(np.array([9], dtype=np.uint64), 5)[0], 11, 0.2)
+    for m, seed in ((model, 9), (model, keep), (no_dropout, 9)):
+        got = mcd_predict(m, x, 5, seed, example_id="e7")
+        built = PredictiveDistribution("e7", _mcd_reference(m, x, 5, 9))
+        assert type(got) is PredictiveDistribution
+        assert vars(got).keys() == vars(built).keys()
+        assert got.example_id == built.example_id == "e7"
+        assert got.passes.dtype == built.passes.dtype and got.passes.shape == built.passes.shape == (5, 2)
+        assert got.passes.tobytes() == built.passes.tobytes()
+        assert not got.passes.flags.writeable
+        with pytest.raises(ValueError):
+            got.passes[0, 0] = 0.5
 
 
 def test_mcd_mean_tracks_deterministic_predict():

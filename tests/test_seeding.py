@@ -67,6 +67,16 @@ def test_raw_stream_and_keep_mask_equal_numpy_at_every_seed():
             assert got.tobytes() == expected.tobytes(), (k, p)
 
 
+@pytest.mark.parametrize("rows, k", [(3, 50), (40, 5)], ids=["more-draws-than-rows", "fewer-draws-than-rows"])
+def test_keep_mask_equals_default_rng_whichever_of_draws_and_rows_is_larger(rows, k):
+    # the PCG64 steps reuse one set of row-sized buffers across all k draws
+    values = _seeds()[:rows]
+    words = _seed_words(np.array(values, dtype=np.uint64))
+    for p in RATES:
+        expected = np.stack([np.random.default_rng(value).random(k) >= p for value in values])
+        assert keep_mask(words, k, p).tobytes() == expected.tobytes(), p
+
+
 def test_pass_seed_words_equal_seed_sequence_of_every_pass():
     seeds = _seeds()
     words = pass_seed_words(np.array(seeds, dtype=np.uint64), 3)
