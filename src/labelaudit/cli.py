@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +25,15 @@ from .data import (
     write_json,
     write_jsonl,
 )
-from .mlp import init_model, load_model, save_model, train
+from .mlp import load_model, save_model
 from .noisebench import NoiseSpec, inject_noise, make_blobs, save_noise_mask
 from .pipeline import (
     PipelineError,
+    cv_sentinel,
     decide_all,
     evaluate,
     plan_run,
+    retrain,
     run_pipeline,
     sentinel_distributions,
     sweep_thresholds,
@@ -46,7 +47,7 @@ from .policy import (
     thresholds_to_section,
 )
 from .sdgmask import proposal_record, select_masks
-from .sentinel import build_cv_sentinel, mcd_passes
+from .sentinel import mcd_passes
 
 
 def _int_list(text: str) -> list[int]:
@@ -174,10 +175,18 @@ def _require(args, flag: str):
     return value
 
 
+def _json_rows(flag: str, text: str | None):
+    rows = json.loads(text) if text else None  # None when the flag is not given
+    numbers = {int, float}
+    if rows is None or type(rows) is list and all(type(r) is list and numbers.issuperset(map(type, r)) for r in rows):
+        return rows
+    raise ValueError(f"--{flag} must be a JSON list of number lists, got {text}")
+
+
 def _cmd_make_data(args) -> int:
     out = _require(args, "out")
     classes = args.classes
-    centers = json.loads(args.centers) if args.centers else None
+    centers = _json_rows("centers", args.centers)
     if centers is None:
         if args.d < 1:
             raise ValueError("--d must be >= 1")
@@ -191,7 +200,7 @@ def _cmd_make_data(args) -> int:
 def _cmd_inject_noise(args) -> int:
     out = _require(args, "out")
     dataset = load_dataset(args.dataset)
-    transition = json.loads(args.transition) if args.transition else None
+    transition = _json_rows("transition", args.transition)
     spec = NoiseSpec(
         rate=args.noise_rate, kind=args.noise_kind, seed=args.seed or 0, transition=transition
     )
@@ -207,9 +216,7 @@ def _cmd_train(args) -> int:
     out = _require(args, "out")
     config = config_from_dict(_config_doc(args))
     dataset = load_dataset(config.dataset, expected_schema="features")
-    # stage commands seed with --seed itself, not the pipeline's seed streams
-    train_cfg = replace(config.train_config(), seed=config.seed)
-    model = train(init_model(config.model_spec(dataset), config.seed), dataset, train_cfg)
+    model = retrain(config, config.model_spec(dataset), dataset)
     save_model(model, out)
     print(f"trained on {len(dataset)} examples -> {out}")
     return 0
@@ -234,14 +241,7 @@ def _cmd_build_sentinel(args) -> int:
     out = _require(args, "out")
     config = config_from_dict(_config_doc(args))
     dataset = load_dataset(config.dataset, expected_schema="features")
-    dists, assignment = build_cv_sentinel(
-        dataset.strip_gold(),
-        config.folds,
-        config.model_spec(dataset),
-        replace(config.train_config(), seed=config.seed),
-        config.passes,
-        config.seed,
-    )
+    dists, assignment = cv_sentinel(config, config.model_spec(dataset), dataset)
     save_distributions(dists, out)
     if args.folds_out:
         write_json(args.folds_out, {"k": assignment.k, "fold_of": assignment.fold_of})
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as err:  # a DataFormatError is a ValueError
+    except (ValueError, OverflowError, FileNotFoundError) as err:  # a DataFormatError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 1
     except PipelineError as err:

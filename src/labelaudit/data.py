@@ -58,6 +58,8 @@ class TaggedToken:
     is_entity: bool = False
 
     def __post_init__(self) -> None:
+        if type(self.text) is not str:
+            raise DataFormatError(f"token text must be a string, got {self.text!r}")
         if self.pos not in POS_TAGS:
             raise DataFormatError(f"unknown pos tag {self.pos!r}, expected one of {POS_TAGS}")
         if self.is_compound_head and self.pos not in ("noun", "propn"):

@@ -196,15 +196,23 @@ def sentinel_distributions(config: PipelineConfig, plan: RunPlan, dataset: Datas
     (PassStack, FoldAssignment or None).
     """
     if config.sentinel == "cv":
-        return build_cv_sentinel(
-            dataset.strip_gold(),
-            config.folds,
-            plan.spec,
-            config.train_config(),
-            config.passes,
-            mix64(config.seed, _Stream.SWEEP_SENTINEL if dev else _Stream.SENTINEL),
-        )
+        return cv_sentinel(config, plan.spec, dataset, dev)
     return ingest_external_dump(config.dev_dump if dev else config.dump, config.passes, plan.width, dataset.ids), None
+
+
+def cv_sentinel(config: PipelineConfig, spec: ModelSpec, dataset: Dataset, dev: bool = False):
+    """The CV sentinel a run builds on ``dataset``, gold stripped, drawn from the
+    sentinel's seed stream (the sweep's for the ``dev`` split).  Returns
+    (PassStack, FoldAssignment)."""
+    stream = _Stream.SWEEP_SENTINEL if dev else _Stream.SENTINEL
+    return build_cv_sentinel(
+        dataset.strip_gold(), config.folds, spec, config.train_config(), config.passes, mix64(config.seed, stream)
+    )
+
+
+def retrain(config: PipelineConfig, spec: ModelSpec, dataset: Dataset) -> Model:
+    """The model a run retrains on ``dataset``: both of its retrains draw the same seeds."""
+    return train(init_model(spec, mix64(config.seed, _Stream.RETRAIN)), dataset, config.train_config())
 
 
 def sweep_thresholds(config: PipelineConfig, plan: RunPlan, clean_dev: Dataset):
@@ -324,10 +332,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     evaluation = None
     if test is not None:
         with _stage("retrain"):
-            train_cfg = config.train_config()
-            retrain_seed = mix64(config.seed, _Stream.RETRAIN)
-            baseline_model = train(init_model(plan.spec, retrain_seed), working, train_cfg)
-            cleaned_model = train(init_model(plan.spec, retrain_seed), cleaned, train_cfg)
+            baseline_model = retrain(config, plan.spec, working)
+            cleaned_model = retrain(config, plan.spec, cleaned)
             evaluation = {
                 "baseline": evaluate(baseline_model, test),
                 "cleaned": evaluate(cleaned_model, test),

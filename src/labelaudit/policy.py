@@ -352,6 +352,8 @@ def _decision_from_record(rec: dict) -> Decision:
     new_label = rec.get("new_label")
     if new_label is not None and type(new_label) is not int:
         raise TypeError("new_label must be an integer")
+    if type(rec["example_id"]) is not str or type(rec.get("rule", "none")) is not str:
+        raise TypeError("example_id and rule must be strings")
     return Decision(rec["example_id"], rec["verdict"], new_label, rec.get("rule", "none"))
 
 
